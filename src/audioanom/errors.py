@@ -90,7 +90,7 @@ class ClassTooSmall(AudioAnomError):
 
 
 class LabelOutOfRange(AudioAnomError):
-    """Label index outside [0, K)."""
+    """Label index outside [0, K), or a label that names no class."""
 
 
 class EmptyMatrix(AudioAnomError):

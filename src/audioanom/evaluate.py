@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ClassTooSmall, EmptyMatrix, IoFailure, LabelOutOfRange, LengthMismatch
 from .features import FeatureSet
+from .models import predict_proba
 
 REPORT_FORMAT_VERSION = 1
 
@@ -109,6 +110,15 @@ def metrics(cm: ConfusionMatrix, importance_top10: Optional[list] = None,
                             config_echo=dict(config_echo or {}), seed=seed)
 
 
+def predict_confusion(model, test: FeatureSet) -> ConfusionMatrix:
+    """Confusion matrix of the model's argmax predictions on `test`, indexed
+    by test.class_names; ties go to the lowest class index."""
+    y_true = test.labels()
+    y_pred = np.argmax(predict_proba(model, test), axis=1)
+    return confusion_matrix(y_true, y_pred, len(test.class_names),
+                            test.class_names)
+
+
 @dataclass
 class CrossValidationResult:
     fold_reports: list
@@ -120,9 +130,7 @@ def cross_validate(data: FeatureSet, k: int,
                    trainer: Callable[[FeatureSet], object],
                    seed: int = 0) -> CrossValidationResult:
     """Stratified k-fold; trainer(train_set) must return a model usable with
-    models.predict_class."""
-    from .models import predict_class
-
+    models.predict_proba."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     y = data.labels()
@@ -142,11 +150,7 @@ def cross_validate(data: FeatureSet, k: int,
         test_idx = sorted(folds[f])
         train_idx = sorted(i for g in range(k) if g != f for i in folds[g])
         model = trainer(data.subset(train_idx))
-        test = data.subset(test_idx)
-        y_true = test.labels()
-        y_pred = [predict_class(model, v) for v in test.vectors]
-        cm = confusion_matrix(y_true, y_pred, len(data.class_names),
-                              data.class_names)
+        cm = predict_confusion(model, data.subset(test_idx))
         reports.append(metrics(cm, seed=seed))
 
     accs = np.array([r.accuracy for r in reports])

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.fft import dct
 
 from .audio_io import AudioBuffer
 from .dsp import (
@@ -26,7 +25,8 @@ from .dsp import (
     power_spectrogram,
     require_frames,
 )
-from .errors import DegenerateFilter, FrameTooShort, SignalTooShort
+from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
+                     SignalTooShort)
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,18 @@ class FeatureSet:
     class_names: tuple = ()
 
     def matrix(self) -> np.ndarray:
-        return np.array([v.values for v in self.vectors], dtype=np.float64)
+        """(n_vectors, n_features) values; (0, n_features) when empty."""
+        X = np.array([v.values for v in self.vectors], dtype=np.float64)
+        return X.reshape(len(self.vectors), len(self.names))
 
     def labels(self) -> np.ndarray:
         """Labels as integer indices into class_names."""
         index = {c: i for i, c in enumerate(self.class_names)}
+        for v in self.vectors:
+            if v.label not in index:
+                raise LabelOutOfRange(
+                    f"clip {v.clip_id!r} has label {v.label!r}, not one of "
+                    f"{list(self.class_names)}")
         return np.array([index[v.label] for v in self.vectors], dtype=np.intp)
 
     def subset(self, indices) -> "FeatureSet":
@@ -145,8 +152,12 @@ def mfcc(buffer: AudioBuffer, config: MfccConfig = MfccConfig()) -> np.ndarray:
     fb = mel_filterbank(config, buffer.sample_rate)
     energies = spec.bins @ fb.T
     log_e = np.log(energies + LOG_FLOOR)
-    coeffs = dct(log_e, type=2, norm="ortho", axis=1)
-    return coeffs[:, :config.n_coeffs]
+    # orthonormal DCT-II basis, first n_coeffs rows only
+    n = config.n_mels
+    k = np.arange(config.n_coeffs)[:, None]
+    scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    basis = scale * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    return log_e @ basis.T
 
 
 def zero_crossing_rate(frame: np.ndarray) -> float:

@@ -98,21 +98,21 @@ class DecisionTree:
         # unnormalized per-feature impurity decrease from training
         self.importances = importances
 
-    def predict_proba_row(self, x: np.ndarray) -> np.ndarray:
-        node = self.nodes[0]
-        while "proba" not in node:
-            if x[node["feature"]] <= node["threshold"]:
-                node = self.nodes[node["left"]]
-            else:
-                node = self.nodes[node["right"]]
-        return np.asarray(node["proba"])
-
-    def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_proba_row(row) for row in X])
-
-    @property
-    def n_splits(self) -> int:
-        return sum(1 for n in self.nodes if "proba" not in n)
+    def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
+        """(n, n_classes) leaf probabilities; all rows descend together, each
+        split sending the row indices with x <= threshold to its left child."""
+        out = np.empty((len(X), self.n_classes))
+        pending = [(0, np.arange(len(X)))]
+        while pending:
+            node_id, rows = pending.pop()
+            node = self.nodes[node_id]
+            if "proba" in node:
+                out[rows] = node["proba"]
+            elif len(rows):
+                go_left = X[rows, node["feature"]] <= node["threshold"]
+                pending += [(node["left"], rows[go_left]),
+                            (node["right"], rows[~go_left])]
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -200,13 +200,10 @@ class RandomForest:
         self.seed = seed
         self.importances = importances
 
-    @property
-    def no_splits(self) -> bool:
-        return all(t.n_splits == 0 for t in self.trees)
-
-    def predict_proba_values(self, x: np.ndarray) -> np.ndarray:
-        probs = np.array([t.predict_proba_row(x) for t in self.trees])
-        return probs.mean(axis=0)
+    def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
+        """Mean of the trees' (n, n_classes) matrices, summed in tree order."""
+        total = sum(t.predict_proba_values(X) for t in self.trees)
+        return total / len(self.trees)
 
     def to_dict(self) -> dict:
         return {
@@ -286,19 +283,16 @@ class LinearSvm:
         self.epochs = epochs
         self.seed = seed
 
-    def decision_value(self, x: np.ndarray) -> float:
-        z = (x - self.mean) / self.std
-        return float(self.weights @ z + self.bias)
-
-    def predict_proba_values(self, x: np.ndarray) -> np.ndarray:
-        d = self.decision_value(x)
-        # overflow-safe logistic
-        if d >= 0:
-            p1 = 1.0 / (1.0 + np.exp(-d))
-        else:
-            e = np.exp(d)
-            p1 = e / (1.0 + e)
-        return np.array([1.0 - p1, p1])
+    def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
+        """(n, 2) logistic of the decision values of the rows of X."""
+        # an elementwise product summed per row, unlike a BLAS matrix-vector
+        # product, gives a row the same value whatever batch it is in
+        Z = (X - self.mean) / self.std
+        d = (Z * self.weights).sum(axis=1) + self.bias
+        # overflow-safe logistic: exp of a non-positive number only
+        e = np.exp(-np.abs(d))
+        p1 = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return np.stack([1.0 - p1, p1], axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -392,11 +386,10 @@ class EnsembleModel:
         if not self.feature_names:
             self.feature_names = self.members[0][0].feature_names
 
-    def predict_proba_values(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.class_names))
-        for model, weight in self.members:
-            out += weight * model.predict_proba_values(x)
-        return out
+    def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
+        """Weighted sum of the members' (n, n_classes) matrices."""
+        return sum(weight * model.predict_proba_values(X)
+                   for model, weight in self.members)
 
     def to_dict(self) -> dict:
         return {
@@ -415,31 +408,26 @@ class EnsembleModel:
         return cls(members, tuple(d["class_names"]), tuple(d["feature_names"]))
 
 
-def _check_schema(model, x: FeatureVector) -> None:
-    if tuple(x.names) != tuple(model.feature_names):
-        for i, (a, b) in enumerate(zip(x.names, model.feature_names)):
+def _check_schema(model, names: tuple) -> None:
+    if tuple(names) != tuple(model.feature_names):
+        for i, (a, b) in enumerate(zip(names, model.feature_names)):
             if a != b:
                 raise SchemaMismatch(
                     f"feature {i} is {a!r}, model expects {b!r}")
         raise SchemaMismatch(
-            f"vector has {len(x.names)} features, model expects "
+            f"data has {len(names)} features, model expects "
             f"{len(model.feature_names)}")
 
 
-def predict_proba(model, x: FeatureVector) -> np.ndarray:
-    """Class-probability vector for any trained model, schema-checked."""
-    _check_schema(model, x)
-    return model.predict_proba_values(x.values)
+def predict_proba(model, data) -> np.ndarray:
+    """Class probabilities from any trained model, schema-checked.
 
-
-def soft_vote(ensemble: EnsembleModel, x: FeatureVector):
-    """Weighted-average probabilities; argmax class, lowest index on ties."""
-    proba = predict_proba(ensemble, x)
-    return int(np.argmax(proba)), proba
-
-
-def predict_class(model, x: FeatureVector) -> int:
-    return int(np.argmax(predict_proba(model, x)))
+    (n, n_classes) for a FeatureSet, (n_classes,) for a FeatureVector.
+    """
+    _check_schema(model, data.names)
+    if isinstance(data, FeatureVector):
+        return model.predict_proba_values(data.values[None, :])[0]
+    return model.predict_proba_values(data.matrix())
 
 
 # --- persistence ---

@@ -14,9 +14,9 @@ from .config import PipelineConfig
 from .errors import TooShortForProfile
 from .evaluate import (
     EvaluationReport,
-    confusion_matrix,
     emit_report,
     metrics,
+    predict_confusion,
     stratified_split,
 )
 from .features import (
@@ -30,7 +30,6 @@ from .models import (
     EnsembleModel,
     TreeParams,
     feature_importance,
-    predict_class,
     save_model,
     train_forest,
     train_svm,
@@ -121,10 +120,7 @@ def _forest_of(model):
 
 def evaluate_model(model, test: FeatureSet,
                    cfg: PipelineConfig) -> EvaluationReport:
-    y_true = test.labels()
-    y_pred = [predict_class(model, v) for v in test.vectors]
-    cm = confusion_matrix(y_true, y_pred, len(test.class_names),
-                          test.class_names)
+    cm = predict_confusion(model, test)
     forest = _forest_of(model)
     top10 = feature_importance(forest)[:10] if forest is not None else None
     return metrics(cm, importance_top10=top10, config_echo=cfg.to_dict(),

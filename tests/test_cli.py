@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +136,48 @@ def test_evaluate_schema_mismatch(extracted, tmp_path, capsys):
     assert main(["evaluate", "--model", str(models / "model_forest.json"),
                  "--test", str(bad), "--out", str(tmp_path / "r.json")]) == 2
     assert "MFCC_zzz_3" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_forest(extracted, tmp_path_factory):
+    _, features = extracted
+    models = tmp_path_factory.mktemp("models")
+    assert main(["train", "--features", str(features), "--out", str(models),
+                 "--n-trees", "2", "--svm-epochs", "1"]) == 0
+    return models / "model_forest.json"
+
+
+def test_evaluate_header_only_csv(extracted, small_forest, tmp_path, capsys):
+    _, features = extracted
+    empty = tmp_path / "empty.csv"
+    empty.write_text(features.read_text().split("\n", 1)[0] + "\n")
+    assert main(["evaluate", "--model", str(small_forest),
+                 "--test", str(empty), "--out", str(tmp_path / "r.json")]) == 1
+    assert "zero instances" in capsys.readouterr().err
+
+
+def test_evaluate_empty_label_names_clip(extracted, small_forest, tmp_path,
+                                        capsys):
+    _, features = extracted
+    with open(features) as fh:
+        rows = list(csv.reader(fh))
+    rows[2][1] = ""
+    bad = tmp_path / "bad.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert main(["evaluate", "--model", str(small_forest),
+                 "--test", str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    assert rows[2][0] in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import audioanom
+    src = os.path.dirname(os.path.dirname(audioanom.__file__))
+    code = "import sys, audioanom.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_pipeline_deterministic(tmp_path):

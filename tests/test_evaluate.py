@@ -176,9 +176,9 @@ class MajorityClassModel:
         self.feature_names = train.names
         self.class_names = train.class_names
 
-    def predict_proba_values(self, x):
-        proba = np.zeros(self.k)
-        proba[self.majority] = 1.0
+    def predict_proba_values(self, X):
+        proba = np.zeros((len(X), self.k))
+        proba[:, self.majority] = 1.0
         return proba
 
 

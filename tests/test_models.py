@@ -10,10 +10,8 @@ from audioanom.models import (
     feature_importance,
     model_from_dict,
     load_model,
-    predict_class,
     predict_proba,
     save_model,
-    soft_vote,
     svm_objective,
     train_forest,
     train_svm,
@@ -49,8 +47,9 @@ def test_tree_single_split_midpoint():
     root = tree.nodes[0]
     assert root["feature"] == 0
     assert root["threshold"] == pytest.approx(1.5)
-    for x, label in [(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1)]:
-        assert np.argmax(tree.predict_proba_row(np.array([x]))) == label
+    # a row exactly on the threshold goes left
+    for x, label in [(0.0, 0), (1.0, 0), (1.5, 0), (2.0, 1), (3.0, 1)]:
+        assert np.argmax(tree.predict_proba_values(np.array([[x]]))[0]) == label
 
 
 def test_tree_conflicting_labels_leaf_frequencies():
@@ -88,9 +87,9 @@ def test_tree_monotone_feature_scaling_preserves_predictions():
     tree_g = train_tree(data_g)
     X_test = rng.normal(size=(40, 3))
     Xg_test = g(X_test)
-    for x, xg in zip(X_test, Xg_test):
-        assert np.argmax(tree.predict_proba_row(x)) == \
-            np.argmax(tree_g.predict_proba_row(xg))
+    np.testing.assert_array_equal(
+        np.argmax(tree.predict_proba_values(X_test), axis=1),
+        np.argmax(tree_g.predict_proba_values(Xg_test), axis=1))
 
 
 # --- train_forest ---
@@ -131,17 +130,16 @@ def test_forest_proba_is_mean_of_trees():
     X = rng.normal(size=(50, 4))
     labels = ["A" if rng.random() < 0.6 else "B" for _ in range(50)]
     forest = train_forest(make_set(X, labels), n_trees=15, mtry=2, seed=2)
-    for _ in range(20):
-        x = rng.normal(size=4)
-        expected = np.mean([t.predict_proba_row(x) for t in forest.trees],
-                           axis=0)
-        np.testing.assert_allclose(forest.predict_proba_values(x), expected)
+    X_test = rng.normal(size=(20, 4))
+    expected = np.mean([t.predict_proba_values(X_test) for t in forest.trees],
+                       axis=0)
+    np.testing.assert_allclose(forest.predict_proba_values(X_test), expected)
 
 
 def test_forest_pure_leaves_zero_importance():
     data = make_set([[1.0], [1.0]], ["A", "A"])
     forest = train_forest(data, n_trees=3, mtry=1, seed=0)
-    assert forest.no_splits
+    assert all(len(t.nodes) == 1 for t in forest.trees)
     np.testing.assert_array_equal(forest.importances, 0.0)
 
 
@@ -150,8 +148,10 @@ def test_forest_pure_leaves_zero_importance():
 def test_svm_separable_two_points():
     data = make_set([[-1.0], [1.0]], ["A", "B"])
     svm = train_svm(data, lam=1e-2, epochs=100, seed=0)
-    assert svm.decision_value(np.array([-1.0])) < 0
-    assert svm.decision_value(np.array([1.0])) > 0
+    # P(class 1) > 0.5 exactly when the decision value is positive
+    p1 = svm.predict_proba_values(np.array([[-1.0], [1.0]]))[:, 1]
+    assert p1[0] < 0.5
+    assert p1[1] > 0.5
 
 
 def test_svm_zero_epochs():
@@ -161,7 +161,7 @@ def test_svm_zero_epochs():
     assert svm.bias == 0.0
     x = FeatureVector(("f0",), np.array([0.3]), "c")
     np.testing.assert_array_equal(predict_proba(svm, x), [0.5, 0.5])
-    assert predict_class(svm, x) == 0  # tie-break: lowest class index
+    assert np.argmax(predict_proba(svm, x)) == 0  # tie: lowest class index
 
 
 def test_svm_standardization_invariant_under_duplication():
@@ -199,7 +199,7 @@ def test_svm_objective_not_worse_than_zero_weights():
         svm_objective(zero, data.matrix(), y_pm)
 
 
-# --- predict_proba / soft_vote ---
+# --- predict_proba ---
 
 def test_pure_leaf_forest_proba():
     data = make_set([[1.0], [2.0]], ["A", "A"])
@@ -211,8 +211,8 @@ def test_pure_leaf_forest_proba():
 def test_svm_logistic_at_zero():
     svm = LinearSvm(np.zeros(1), 0.0, np.zeros(1), np.ones(1),
                     ("f0",), ("A", "B"), 1e-3, 0, 0)
-    np.testing.assert_array_equal(svm.predict_proba_values(np.array([2.0])),
-                                  [0.5, 0.5])
+    np.testing.assert_array_equal(svm.predict_proba_values(np.array([[2.0]])),
+                                  [[0.5, 0.5]])
 
 
 def test_forest_three_of_four_trees():
@@ -222,8 +222,8 @@ def test_forest_three_of_four_trees():
         trees.append(train_tree(make_set([[0.0]], [label])))
     from audioanom.models import RandomForest
     forest = RandomForest(trees, ("f0",), ("A", "B"), 1, 0, np.zeros(1))
-    np.testing.assert_allclose(forest.predict_proba_values(np.array([0.0])),
-                               [0.25, 0.75])
+    np.testing.assert_allclose(forest.predict_proba_values(np.array([[0.0]])),
+                               [[0.25, 0.75]])
 
 
 def test_soft_vote_identical_members():
@@ -243,18 +243,65 @@ def test_soft_vote_weighted_average():
         def __init__(self, proba):
             self.proba = np.array(proba)
 
-        def predict_proba_values(self, x):
-            return self.proba
+        def predict_proba_values(self, X):
+            return np.tile(self.proba, (len(X), 1))
 
     ens = EnsembleModel([(Stub([0.9, 0.1]), 0.5), (Stub([0.2, 0.8]), 0.5)])
     x = FeatureVector(("f0",), np.array([0.0]), "c")
-    cls, proba = soft_vote(ens, x)
+    proba = predict_proba(ens, x)
     np.testing.assert_allclose(proba, [0.55, 0.45])
-    assert cls == 0
+    assert np.argmax(proba) == 0
 
     tie = EnsembleModel([(Stub([0.5, 0.5]), 1.0)])
-    cls, _ = soft_vote(tie, x)
-    assert cls == 0
+    assert np.argmax(predict_proba(tie, x)) == 0
+
+
+def _walk_nodes(nodes, x):
+    """Reference row-by-row walk of a tree's model-JSON nodes."""
+    node = nodes[0]
+    while "proba" not in node:
+        go_left = x[node["feature"]] <= node["threshold"]
+        node = nodes[node["left"] if go_left else node["right"]]
+    return np.asarray(node["proba"])
+
+
+def test_forest_matrix_matches_row_walk_of_json_nodes():
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(60, 4))
+    labels = ["A" if x[0] + x[2] > 0 else "B" for x in X]
+    forest = train_forest(make_set(X, labels), n_trees=7, mtry=2, seed=6)
+    trees = forest.to_dict()["trees"]
+    # one row per split with that split's feature exactly on its threshold;
+    # every row reaches the roots, so at least those splits see a tie
+    on_threshold = []
+    for tree in trees:
+        for node in tree["nodes"]:
+            if "proba" not in node:
+                row = rng.normal(size=4)
+                row[node["feature"]] = node["threshold"]
+                on_threshold.append(row)
+    X_test = np.vstack([X, rng.normal(size=(40, 4)), on_threshold])
+    expected = np.array([
+        sum(_walk_nodes(t["nodes"], x) for t in trees) / len(trees)
+        for x in X_test])
+    np.testing.assert_array_equal(forest.predict_proba_values(X_test),
+                                  expected)
+
+
+def test_vector_prediction_matches_featureset_row():
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(60, 30))
+    labels = ["A" if x[0] - x[5] > 0 else "B" for x in X]
+    data = make_set(X, labels)
+    forest = train_forest(data, n_trees=5, seed=7)
+    svm = train_svm(data, epochs=10, seed=7)
+    ens = EnsembleModel([(forest, 0.5), (svm, 0.5)])
+    test = make_set(rng.normal(size=(25, 30)), ["A"] * 25)
+    for model in (forest, svm, ens):
+        batch = predict_proba(model, test)
+        assert batch.shape == (25, 2)
+        for i, v in enumerate(test.vectors):
+            np.testing.assert_array_equal(predict_proba(model, v), batch[i])
 
 
 def test_schema_mismatch_rejected():
@@ -293,10 +340,9 @@ def test_model_round_trip_identical_predictions(tmp_path):
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
-        for _ in range(100):
-            x = rng.normal(size=4)
-            np.testing.assert_array_equal(back.predict_proba_values(x),
-                                          model.predict_proba_values(x))
+        X_test = rng.normal(size=(100, 4))
+        np.testing.assert_array_equal(back.predict_proba_values(X_test),
+                                      model.predict_proba_values(X_test))
 
 
 def test_model_format_is_versioned(tmp_path):
