@@ -20,7 +20,7 @@ from .audio_io import read_wav, resample_linear
 from .config import PipelineConfig
 from .dsp import SCALE_POWER, frame_signal, power_spectrogram
 from .errors import AudioAnomError, ConfigError, SchemaMismatch
-from .evaluate import emit_report, stratified_split
+from .evaluate import emit_report
 from .features import load_featureset, save_featureset
 from .models import load_model, save_model
 from .synthgen import CorpusSpec, generate_corpus, load_manifest

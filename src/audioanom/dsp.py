@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import NFftNotPowerOfTwo, SignalTooShort
+from .errors import NFftNotPowerOfTwo
 
 DEFAULT_FRAME_LEN = 400   # 25 ms @ 16 kHz
 DEFAULT_HOP = 160         # 10 ms @ 16 kHz
@@ -26,7 +26,8 @@ SCALE_LOG_POWER = "log-power"
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Windowed (or raw) analysis frames: shape (num_frames, frame_len)."""
+    """Windowed (or raw) analysis frames: shape (num_frames, frame_len), or
+    (..., num_frames, frame_len) for a stack of frame matrices."""
 
     frames: np.ndarray
     hop: int
@@ -36,7 +37,7 @@ class FrameMatrix:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Per-frame one-sided spectra: shape (num_frames, n_fft // 2 + 1)."""
+    """Per-frame one-sided spectra: shape (..., num_frames, n_fft // 2 + 1)."""
 
     bins: np.ndarray
     n_fft: int
@@ -88,6 +89,7 @@ def frame_signal(
 
     Frame i covers samples [i*hop, i*hop + frame_len); the trailing partial
     frame is discarded. A signal shorter than one frame yields zero frames.
+    Unwindowed frames are a read-only strided view of the samples.
     """
     if frame_len < 2:
         raise ValueError(f"frame_len must be >= 2, got {frame_len}")
@@ -97,20 +99,11 @@ def frame_signal(
     if len(x) < frame_len:
         frames = np.empty((0, frame_len))
     else:
-        num = 1 + (len(x) - frame_len) // hop
-        idx = np.arange(frame_len)[None, :] + hop * np.arange(num)[:, None]
-        frames = x[idx]
+        frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
         if window:
             frames = frames * hann_window(frame_len)[None, :]
     return FrameMatrix(frames, hop=hop, frame_len=frame_len,
                        sample_rate=buffer.sample_rate)
-
-
-def require_frames(fm: FrameMatrix, context: str = "analysis") -> FrameMatrix:
-    if fm.frames.shape[0] == 0:
-        raise SignalTooShort(f"signal shorter than one {context} frame "
-                             f"({fm.frame_len} samples)")
-    return fm
 
 
 def power_spectrogram(
@@ -124,8 +117,7 @@ def power_spectrogram(
         raise ValueError(f"frame_len {fm.frame_len} exceeds n_fft {n_fft}")
     if scale not in (SCALE_MAGNITUDE, SCALE_POWER, SCALE_LOG_POWER):
         raise ValueError(f"unknown scale {scale!r}")
-    spec = np.fft.rfft(fm.frames, n=n_fft, axis=1)
-    mag = np.abs(spec)
+    mag = np.abs(np.fft.rfft(fm.frames, n=n_fft, axis=-1))
     if scale == SCALE_MAGNITUDE:
         bins = mag
     elif scale == SCALE_POWER:

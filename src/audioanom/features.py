@@ -3,13 +3,18 @@
 Per-frame values are aggregated to a fixed 30-feature clip vector
 (MFCC_mean_1..13, MFCC_std_1..13, ZCR_mean/std, Centroid_mean/std) using
 population standard deviation so single-frame clips stay well defined.
+
+A segment is framed twice, plain and pre-emphasized, and both Hann-windowed
+frame matrices go through one rFFT: the MFCCs are defined on the emphasized
+spectrum and the centroid on the plain one, so two spectra are inherent.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,10 +25,10 @@ from .dsp import (
     DEFAULT_HOP,
     DEFAULT_N_FFT,
     LOG_FLOOR,
-    SCALE_POWER,
+    FrameMatrix,
     frame_signal,
+    hann_window,
     power_spectrogram,
-    require_frames,
 )
 from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
                      SignalTooShort)
@@ -85,8 +90,8 @@ class FeatureSet:
 
 
 class CentroidResult(NamedTuple):
-    hz: float
-    silent: bool
+    hz: float | np.ndarray
+    silent: bool | np.ndarray
 
 
 def pre_emphasis(buffer: AudioBuffer, coeff: float = 0.97) -> AudioBuffer:
@@ -127,30 +132,35 @@ def mel_filterbank(config: MfccConfig, sample_rate: int) -> np.ndarray:
             f"sample_rate={sample_rate}")
 
     bin_freqs = np.arange(n_bins) * sample_rate / config.n_fft
-    fb = np.zeros((config.n_mels, n_bins))
-    for m in range(config.n_mels):
-        lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
-        rising = (bin_freqs - lo) / (center - lo)
-        falling = (hi - bin_freqs) / (hi - center)
-        fb[m] = np.maximum(0.0, np.minimum(rising, falling))
+    lo, center, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
+    rising = (bin_freqs - lo) / (center - lo)
+    falling = (hi - bin_freqs) / (hi - center)
+    return np.maximum(0.0, np.minimum(rising, falling))
+
+
+@functools.lru_cache(maxsize=None)
+def _mel_bank(config: MfccConfig, sample_rate: int) -> np.ndarray:
+    """mel_filterbank once per (config, sample_rate); shared, so read-only."""
+    fb = mel_filterbank(config, sample_rate)
+    fb.flags.writeable = False
     return fb
 
 
-def mfcc(buffer: AudioBuffer, config: MfccConfig = MfccConfig()) -> np.ndarray:
-    """Frame-level MFCCs, shape (num_frames, n_coeffs).
-
-    Chain: pre-emphasis, Hann framing, power spectrum, mel filterbank,
-    log (1e-10 floor), orthonormal DCT-II, keep the first n_coeffs.
-    """
+def _emphasized_frames(buffer: AudioBuffer, config: MfccConfig) -> FrameMatrix:
+    """Hann-windowed frames of the pre-emphasized signal (the MFCC input)."""
     config.validate(buffer.sample_rate)
     emphasized = pre_emphasis(buffer, config.pre_emphasis)
-    fm = frame_signal(emphasized, config.frame_len, config.hop, window=True)
+    fm = frame_signal(emphasized, config.frame_len, config.hop)
     if fm.frames.shape[0] == 0:
         raise SignalTooShort(
             f"need at least {config.frame_len} samples, got {len(buffer)}")
-    spec = power_spectrogram(fm, config.n_fft, SCALE_POWER)
-    fb = mel_filterbank(config, buffer.sample_rate)
-    energies = spec.bins @ fb.T
+    return fm
+
+
+def _cepstra(power: np.ndarray, config: MfccConfig,
+             sample_rate: int) -> np.ndarray:
+    """Mel energies, log (1e-10 floor), orthonormal DCT-II, first n_coeffs."""
+    energies = power @ _mel_bank(config, sample_rate).T
     log_e = np.log(energies + LOG_FLOOR)
     # orthonormal DCT-II basis, first n_coeffs rows only
     n = config.n_mels
@@ -160,37 +170,55 @@ def mfcc(buffer: AudioBuffer, config: MfccConfig = MfccConfig()) -> np.ndarray:
     return log_e @ basis.T
 
 
-def zero_crossing_rate(frame: np.ndarray) -> float:
-    """Fraction of consecutive-sample sign changes.
+def mfcc(buffer: AudioBuffer, config: MfccConfig = MfccConfig()) -> np.ndarray:
+    """Frame-level MFCCs, shape (num_frames, n_coeffs).
+
+    Chain: pre-emphasis, Hann framing, power spectrum, mel filterbank,
+    log (1e-10 floor), orthonormal DCT-II, keep the first n_coeffs.
+    """
+    spec = power_spectrogram(_emphasized_frames(buffer, config), config.n_fft)
+    return _cepstra(spec.bins, config, buffer.sample_rate)
+
+
+def zero_crossing_rate(frame: np.ndarray) -> float | np.ndarray:
+    """Fraction of consecutive-sample sign changes along the last axis.
 
     Exact zeros inherit the previous nonzero sign; leading zeros count as
-    positive, so runs of silence never register as crossings.
+    positive, so runs of silence never register as crossings. A 1-D frame
+    gives a float, a (..., frame_len) matrix one rate per frame.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    if len(frame) < 2:
-        raise FrameTooShort(f"need >= 2 samples for ZCR, got {len(frame)}")
-    signs = np.where(frame > 0, 1, np.where(frame < 0, -1, 0))
-    # forward-fill zeros with the previous nonzero sign (positive at start)
-    nz = np.where(signs != 0, np.arange(len(signs)), -1)
-    last_nz = np.maximum.accumulate(nz)
-    signs = np.where(last_nz >= 0, signs[np.maximum(last_nz, 0)], 1)
-    changes = np.count_nonzero(signs[1:] != signs[:-1])
-    return changes / (len(frame) - 1)
+    n = frame.shape[-1] if frame.ndim else 0
+    if n < 2:
+        raise FrameTooShort(f"need >= 2 samples for ZCR, got {n}")
+    # Key sample j as 2j+2 if positive, 2j+1 if negative, 0 if zero or NaN.
+    # The running maximum holds the last nonzero sample's key: odd if it was
+    # negative, 0 (positive) before any. int32 (n < 2**30) halves the time.
+    positive = frame > 0
+    key = ((positive | (frame < 0)) * (2 * np.arange(n, dtype=np.int32) + 1)
+           + positive)
+    negative = np.maximum.accumulate(key, axis=-1) & 1
+    rates = np.count_nonzero(negative[..., 1:] != negative[..., :-1],
+                             axis=-1) / (n - 1)
+    return float(rates) if frame.ndim == 1 else rates
 
 
 def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
                       n_fft: int) -> CentroidResult:
-    """Power-weighted mean frequency. All-zero spectra flag as silent."""
+    """Power-weighted mean frequency along the last axis; all-zero spectra
+    flag as silent at 0 Hz. Scalars for 1-D input, arrays for a matrix."""
     power_bins = np.asarray(power_bins, dtype=np.float64)
-    if len(power_bins) != n_fft // 2 + 1:
-        raise ValueError(
-            f"expected {n_fft // 2 + 1} bins, got {len(power_bins)}")
-    total = power_bins.sum()
-    if total == 0.0:
-        return CentroidResult(0.0, silent=True)
-    freqs = np.arange(len(power_bins)) * sample_rate / n_fft
-    return CentroidResult(float((freqs * power_bins).sum() / total),
-                          silent=False)
+    n_bins = power_bins.shape[-1] if power_bins.ndim else 0
+    if n_bins != n_fft // 2 + 1:
+        raise ValueError(f"expected {n_fft // 2 + 1} bins, got {n_bins}")
+    total = power_bins.sum(axis=-1)
+    silent = total == 0.0
+    freqs = np.arange(n_bins) * sample_rate / n_fft
+    hz = np.divide((freqs * power_bins).sum(axis=-1), total,
+                   out=np.zeros_like(total), where=~silent)
+    if power_bins.ndim == 1:
+        return CentroidResult(float(hz), silent=bool(silent))
+    return CentroidResult(hz, silent=silent)
 
 
 def feature_schema(n_coeffs: int = 13) -> tuple:
@@ -207,18 +235,16 @@ def extract_clip_features(
     label: Optional[str] = None,
 ) -> FeatureVector:
     """Aggregate per-frame MFCC/ZCR/centroid to one named clip vector."""
-    coeffs = mfcc(segment, config)
-
-    raw = require_frames(
-        frame_signal(segment, config.frame_len, config.hop, window=False))
-    zcrs = np.array([zero_crossing_rate(fr) for fr in raw.frames])
-
-    windowed = frame_signal(segment, config.frame_len, config.hop, window=True)
-    spec = power_spectrogram(windowed, config.n_fft, SCALE_POWER)
-    centroids = np.array([
-        spectral_centroid(row, segment.sample_rate, config.n_fft).hz
-        for row in spec.bins
-    ])
+    emphasized = _emphasized_frames(segment, config)
+    plain = frame_signal(segment, config.frame_len, config.hop,
+                         window=False).frames
+    both = replace(emphasized, frames=np.stack(
+        [plain * hann_window(config.frame_len)[None, :], emphasized.frames]))
+    power = power_spectrogram(both, config.n_fft).bins
+    coeffs = _cepstra(power[1], config, segment.sample_rate)
+    zcrs = zero_crossing_rate(plain)
+    centroids = spectral_centroid(power[0], segment.sample_rate,
+                                  config.n_fft).hz
 
     values = np.concatenate([
         coeffs.mean(axis=0),

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .audio_io import AudioBuffer, read_wav, resample_linear, write_wav
 from .config import PipelineConfig
 from .errors import TooShortForProfile
@@ -23,7 +21,6 @@ from .features import (
     FeatureSet,
     MfccConfig,
     extract_clip_features,
-    load_featureset,
     save_featureset,
 )
 from .models import (
@@ -35,7 +32,7 @@ from .models import (
     train_svm,
 )
 from .preprocess import estimate_noise_profile, normalize, segment, spectral_subtract
-from .synthgen import CorpusSpec, generate_corpus, load_manifest, write_manifest
+from .synthgen import CorpusSpec, generate_corpus, write_manifest
 
 
 def mfcc_config(cfg: PipelineConfig) -> MfccConfig:

@@ -57,32 +57,6 @@ class SegmentSet:
     pad_policy: str
 
 
-def _stft_frames(x: np.ndarray, n_fft: int):
-    """Hann-analysis frames of length n_fft at hop n_fft/2, half-frame padded.
-
-    The half-frame zero pad at both ends puts every original sample in the
-    COLA-exact interior (periodic Hann at 50% overlap sums to 1), so
-    unmodified frames overlap-add back to the input exactly.
-    """
-    hop = n_fft // 2
-    padded = np.concatenate([np.zeros(hop), x, np.zeros(n_fft)])
-    num = 1 + (len(padded) - n_fft) // hop
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(num)[:, None]
-    return padded[idx] * hann_window(n_fft)[None, :], hop
-
-
-def _overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
-    n_fft = frames.shape[1]
-    acc = np.zeros(hop * (len(frames) - 1) + n_fft)
-    for i, fr in enumerate(frames):
-        acc[i * hop:i * hop + n_fft] += fr
-    # drop the front half-frame pad, trim/extend to the input length
-    out = acc[hop:hop + out_len]
-    if len(out) < out_len:
-        out = np.concatenate([out, np.zeros(out_len - len(out))])
-    return out
-
-
 def estimate_noise_profile(
     buffer: AudioBuffer,
     lead_ms: float = DEFAULT_LEAD_MS,
@@ -95,12 +69,11 @@ def estimate_noise_profile(
         raise TooShortForProfile(
             f"need at least {n_fft} samples of leading noise, "
             f"got {min(lead, len(buffer))}")
-    x = buffer.samples[:lead]
-    num = 1 + (len(x) - n_fft) // hop
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(num)[:, None]
-    frames = x[idx] * hann_window(n_fft)[None, :]
-    mags = np.abs(np.fft.rfft(frames, axis=1))
-    return NoiseProfile(mags.mean(axis=0), n_fft=n_fft, source_frames=num)
+    frames = np.lib.stride_tricks.sliding_window_view(
+        buffer.samples[:lead], n_fft)[::hop]
+    mags = np.abs(np.fft.rfft(frames * hann_window(n_fft)[None, :], axis=1))
+    return NoiseProfile(mags.mean(axis=0), n_fft=n_fft,
+                        source_frames=len(frames))
 
 
 def spectral_subtract(
@@ -112,8 +85,12 @@ def spectral_subtract(
 ) -> AudioBuffer:
     """Per-frame magnitude subtraction with over-subtraction and floor.
 
-    M'[k] = max(M[k] - alpha * N[k], beta * M[k]); phase is preserved and
-    frames are resynthesized by inverse transform with overlap-add.
+    M'[k] = max(M[k] - alpha * N[k], beta * M[k]), applied as the real gain
+    M'/M so the phase is kept. Hann frames of n_fft at hop n_fft/2 over the
+    input padded with hop zeros in front and n_fft behind put every sample in
+    the COLA-exact interior. The overlap-add adds all first half frames, then
+    all second half frames one hop later, into zeros: per sample the same
+    0 + a + b as adding frame by frame.
     """
     if profile.n_fft != n_fft:
         raise ProfileMismatch(
@@ -122,15 +99,22 @@ def spectral_subtract(
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    frames, hop = _stft_frames(buffer.samples, n_fft)
-    spec = np.fft.rfft(frames, axis=1)
+    hop = n_fft // 2
+    padded = np.concatenate([np.zeros(hop), buffer.samples, np.zeros(n_fft)])
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
+    spec = np.fft.rfft(frames * hann_window(n_fft)[None, :], axis=1)
     mag = np.abs(spec)
-    phase = np.exp(1j * np.angle(spec))
-    new_mag = np.maximum(mag - alpha * profile.mean_magnitude[None, :],
-                         beta * mag)
-    out_frames = np.fft.irfft(new_mag * phase, n=n_fft, axis=1)
-    out = _overlap_add(out_frames, hop, len(buffer))
-    return AudioBuffer(out, buffer.sample_rate)
+    gain = mag - alpha * profile.mean_magnitude[None, :]
+    np.maximum(gain, beta * mag, out=gain)
+    np.divide(gain, mag, out=gain, where=mag > 0)
+    spec *= gain
+    out = np.fft.irfft(spec, n=n_fft, axis=1)
+    # row i holds padded samples [i*hop, (i+1)*hop), row 0 the front pad:
+    # the first half of frame i plus the second half of frame i - 1
+    acc = np.zeros((len(out) + 1, hop))
+    acc[:-1] += out[:, :hop]
+    acc[1:] += out[:, hop:]
+    return AudioBuffer(acc[1:].reshape(-1)[:len(buffer)], buffer.sample_rate)
 
 
 def nlms_cancel(

@@ -108,3 +108,36 @@ def recount_metrics(y_true, y_pred, k):
         precision.append(cm[c][c] / col if col else 0.0)
         recall.append(cm[c][c] / row if row else 0.0)
     return np.array(cm), accuracy, precision, recall
+
+
+def half_padded_stft_frames(x, n_fft):
+    """Periodic-Hann frames of length n_fft at hop n_fft/2 over x padded
+    with n_fft/2 zeros in front and n_fft zeros behind, one at a time."""
+    hop = n_fft // 2
+    padded = np.concatenate([np.zeros(hop), np.asarray(x, dtype=np.float64),
+                             np.zeros(n_fft)])
+    window = np.array([0.5 * (1 - np.cos(2 * np.pi * k / n_fft))
+                       for k in range(n_fft)])
+    frames = []
+    start = 0
+    while start + n_fft <= len(padded):
+        frames.append(padded[start:start + n_fft] * window)
+        start += hop
+    return np.array(frames)
+
+
+def loop_spectral_subtract(x, noise_magnitude, alpha, beta, n_fft):
+    """Spectral subtraction frame by frame: M' = max(M - alpha N, beta M)
+    with the frame's own phase, inverse transform, then overlap-add in
+    frame order; the front half-frame pad is dropped."""
+    hop = n_fft // 2
+    frames = half_padded_stft_frames(x, n_fft)
+    acc = np.zeros(hop * (len(frames) - 1) + n_fft)
+    for i, frame in enumerate(frames):
+        spec = np.fft.rfft(frame)
+        mag = np.abs(spec)
+        new_mag = np.maximum(mag - alpha * noise_magnitude, beta * mag)
+        resynth = np.fft.irfft(new_mag * np.exp(1j * np.angle(spec)), n=n_fft)
+        for j in range(n_fft):
+            acc[i * hop + j] += resynth[j]
+    return acc[hop:hop + len(x)]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from audioanom.audio_io import AudioBuffer
+from audioanom import features
+from audioanom.audio_io import AudioBuffer, read_wav
+from audioanom.config import PipelineConfig
+from audioanom.dsp import frame_signal
 from audioanom.errors import DegenerateFilter, FrameTooShort, SignalTooShort
 from audioanom.features import (
     MfccConfig,
@@ -19,7 +22,10 @@ from audioanom.features import (
     zero_crossing_rate,
 )
 
-from oracles import mel_points_hz, naive_mfcc
+from audioanom.pipeline import preprocess_clip
+from audioanom.synthgen import CorpusSpec, generate_corpus
+
+from oracles import mel_points_hz, naive_dct2_ortho, naive_mfcc
 
 SR = 16000
 
@@ -99,6 +105,38 @@ def test_filterbank_centers_match_independent_recomputation():
 def test_filterbank_degenerate_config_rejected():
     with pytest.raises(DegenerateFilter):
         mel_filterbank(MfccConfig(n_mels=26, n_coeffs=13, n_fft=64), SR)
+
+
+@pytest.fixture
+def fresh_mel_cache():
+    features._mel_bank.cache_clear()
+    yield
+    features._mel_bank.cache_clear()
+
+
+def test_filterbank_built_once_per_config(monkeypatch, fresh_mel_cache):
+    built = []
+
+    def counting(config, sample_rate):
+        built.append((config, sample_rate))
+        return mel_filterbank(config, sample_rate)
+
+    monkeypatch.setattr(features, "mel_filterbank", counting)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        extract_clip_features(AudioBuffer(rng.normal(0, 0.1, size=SR), SR))
+    assert built == [(MfccConfig(), SR)]
+    other = MfccConfig(n_mels=20)
+    extract_clip_features(AudioBuffer(rng.normal(0, 0.1, size=SR), SR), other)
+    mfcc(AudioBuffer(rng.normal(0, 0.1, size=SR), SR), other)
+    assert built == [(MfccConfig(), SR), (other, SR)]
+
+
+def test_cached_filterbank_is_read_only(fresh_mel_cache):
+    fb = features._mel_bank(MfccConfig(), SR)
+    np.testing.assert_array_equal(fb, mel_filterbank(MfccConfig(), SR))
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
 
 
 # --- mfcc ---
@@ -182,6 +220,23 @@ def test_zcr_too_short():
         zero_crossing_rate(np.array([1.0]))
 
 
+@pytest.mark.parametrize("length", [2, 5, 400])
+def test_zcr_matrix_equals_rows(length):
+    rng = np.random.default_rng(length)
+    rows = rng.normal(size=(6, length))
+    rows[0, :length // 2] = 0.0                    # leading zeros
+    rows[1] = 0.0                                  # all zero
+    rows[2] = np.where(np.arange(length) % 2, -1.0, 1.0)   # alternating
+    rows[3, ::3] = 0.0                             # zeros inside
+    rows[4] = np.abs(rows[4])                      # no crossings
+    got = zero_crossing_rate(rows)
+    assert got.shape == (6,)
+    np.testing.assert_array_equal(
+        got, [zero_crossing_rate(row) for row in rows])
+    stacked = zero_crossing_rate(np.stack([rows, rows[::-1]]))
+    np.testing.assert_array_equal(stacked, [got, got[::-1]])
+
+
 # --- spectral_centroid ---
 
 def test_centroid_single_bin():
@@ -201,6 +256,25 @@ def test_centroid_silent():
 def test_centroid_flat_spectrum():
     result = spectral_centroid(np.ones(257), SR, 512)
     assert result.hz == pytest.approx(4000.0)
+
+
+def test_centroid_matrix_equals_rows():
+    rng = np.random.default_rng(30)
+    power = rng.uniform(0, 1, size=(7, 257)) ** 4
+    power[3] = 0.0
+    power[5, 1:] = 0.0
+    got = spectral_centroid(power, SR, 512)
+    rows = [spectral_centroid(row, SR, 512) for row in power]
+    np.testing.assert_array_equal(got.hz, [r.hz for r in rows])
+    np.testing.assert_array_equal(got.silent, [r.silent for r in rows])
+    assert got.silent.tolist() == [False, False, False, True, False, False,
+                                   False]
+    assert got.hz[3] == 0.0
+
+
+def test_centroid_wrong_bin_count():
+    with pytest.raises(ValueError):
+        spectral_centroid(np.ones((4, 256)), SR, 512)
 
 
 def test_centroid_scale_invariant_and_bounded():
@@ -239,6 +313,52 @@ def test_silence_clip_features():
     for i in range(2, 14):
         assert values[f"MFCC_mean_{i}"] == pytest.approx(0.0, abs=1e-9)
     assert values["ZCR_mean"] == 0.0
+
+
+def _per_frame_reference(segment, cfg):
+    """The clip vector computed one frame at a time from frame_signal and
+    the 1-D forms of zero_crossing_rate and spectral_centroid."""
+    sr = segment.sample_rate
+    raw = frame_signal(segment, cfg.frame_len, cfg.hop, window=False)
+    windowed = frame_signal(segment, cfg.frame_len, cfg.hop, window=True)
+    emphasized = frame_signal(pre_emphasis(segment, cfg.pre_emphasis),
+                              cfg.frame_len, cfg.hop, window=True)
+    fb = mel_filterbank(cfg, sr)
+    coeffs, zcrs, centroids = [], [], []
+    for plain, win, emph in zip(raw.frames, windowed.frames,
+                                emphasized.frames):
+        zcrs.append(zero_crossing_rate(plain))
+        power = np.abs(np.fft.rfft(win, n=cfg.n_fft)) ** 2
+        centroids.append(spectral_centroid(power, sr, cfg.n_fft).hz)
+        power = np.abs(np.fft.rfft(emph, n=cfg.n_fft)) ** 2
+        log_e = np.log(fb @ power + 1e-10)
+        coeffs.append(naive_dct2_ortho(log_e)[:cfg.n_coeffs])
+    coeffs = np.array(coeffs)
+    return (np.concatenate([coeffs.mean(axis=0), coeffs.std(axis=0)]),
+            np.array(zcrs), np.array(centroids))
+
+
+def test_front_end_matches_per_frame_reference(tmp_path):
+    rows = generate_corpus(CorpusSpec(n_per_class=1, seed=31, clip_s=1.5),
+                           tmp_path)
+    segments = []
+    for _, path, _ in rows:
+        segments += preprocess_clip(read_wav(path), PipelineConfig())
+    assert len(segments) == 4
+    assert np.all(segments[1].samples[SR // 2:] == 0.0)   # zero-padded tail
+    segments += [AudioBuffer(np.zeros(SR), SR),              # silent
+                 AudioBuffer(segments[0].samples[1000:1400], SR)]  # 1 frame
+    cfg = MfccConfig()
+    n = cfg.n_coeffs
+    for seg in segments:
+        got = extract_clip_features(seg, cfg).values
+        mfcc_cols, zcrs, centroids = _per_frame_reference(seg, cfg)
+        assert np.all(np.abs(got[:2 * n] - mfcc_cols)
+                      <= 1e-12 * np.maximum(1.0, np.abs(mfcc_cols)))
+        np.testing.assert_array_equal(got[2 * n:2 * n + 2],
+                                      [zcrs.mean(), zcrs.std()])
+        np.testing.assert_array_equal(got[2 * n + 2:],
+                                      [centroids.mean(), centroids.std()])
 
 
 def test_extraction_deterministic():

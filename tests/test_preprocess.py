@@ -13,6 +13,8 @@ from audioanom.preprocess import (
     spectral_subtract,
 )
 
+from oracles import half_padded_stft_frames, loop_spectral_subtract
+
 SR = 16000
 N_FFT = 512
 
@@ -100,15 +102,13 @@ def test_snr_improvement_on_noisy_tone():
 
 def test_magnitude_floor_invariant_per_frame():
     # M' >= beta*M and M' <= M on every frame for randomized inputs
-    from audioanom.preprocess import _stft_frames
-
     rng = np.random.default_rng(5)
     beta = 0.01
     for _ in range(5):
         x = rng.normal(0, 0.2, size=SR)
         buf = AudioBuffer(x, SR)
         profile = estimate_noise_profile(buf, 250.0, N_FFT)
-        frames, _ = _stft_frames(x, N_FFT)
+        frames = half_padded_stft_frames(x, N_FFT)
         mag = np.abs(np.fft.rfft(frames, axis=1))
         new_mag = np.maximum(mag - 2.0 * profile.mean_magnitude, beta * mag)
         assert np.all(new_mag >= beta * mag - 1e-12)
@@ -116,6 +116,21 @@ def test_magnitude_floor_invariant_per_frame():
 
         out = spectral_subtract(buf, profile, alpha=2.0, beta=beta)
         assert np.all(np.isfinite(out.samples))
+
+
+@pytest.mark.parametrize("n", [512, 513, 1000, 32007])
+def test_spectral_subtract_matches_loop_reference(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(0, 0.3, size=n)
+    buf = AudioBuffer(x, SR)
+    profile = estimate_noise_profile(buf, 1000.0 * n / SR, N_FFT)
+    for alpha, beta in ((2.0, 0.01), (0.5, 0.2), (0.0, 0.01)):
+        out = spectral_subtract(buf, profile, alpha=alpha, beta=beta)
+        expected = loop_spectral_subtract(x, profile.mean_magnitude, alpha,
+                                          beta, N_FFT)
+        assert len(out) == n
+        assert np.all(np.abs(out.samples - expected)
+                      <= 1e-12 * np.maximum(1.0, np.abs(x)))
 
 
 def test_profile_mismatch():
