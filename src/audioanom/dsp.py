@@ -26,8 +26,7 @@ SCALE_LOG_POWER = "log-power"
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Windowed (or raw) analysis frames: shape (num_frames, frame_len), or
-    (..., num_frames, frame_len) for a stack of frame matrices."""
+    """Windowed (or raw) analysis frames: shape (num_frames, frame_len)."""
 
     frames: np.ndarray
     hop: int
@@ -37,7 +36,7 @@ class FrameMatrix:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Per-frame one-sided spectra: shape (..., num_frames, n_fft // 2 + 1)."""
+    """Per-frame one-sided spectra: shape (num_frames, n_fft // 2 + 1)."""
 
     bins: np.ndarray
     n_fft: int
@@ -117,7 +116,8 @@ def power_spectrogram(
         raise ValueError(f"frame_len {fm.frame_len} exceeds n_fft {n_fft}")
     if scale not in (SCALE_MAGNITUDE, SCALE_POWER, SCALE_LOG_POWER):
         raise ValueError(f"unknown scale {scale!r}")
-    mag = np.abs(np.fft.rfft(fm.frames, n=n_fft, axis=-1))
+    spec = np.fft.rfft(fm.frames, n=n_fft, axis=1)
+    mag = np.abs(spec)
     if scale == SCALE_MAGNITUDE:
         bins = mag
     elif scale == SCALE_POWER:

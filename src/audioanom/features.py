@@ -4,9 +4,10 @@ Per-frame values are aggregated to a fixed 30-feature clip vector
 (MFCC_mean_1..13, MFCC_std_1..13, ZCR_mean/std, Centroid_mean/std) using
 population standard deviation so single-frame clips stay well defined.
 
-A segment is framed twice, plain and pre-emphasized, and both Hann-windowed
-frame matrices go through one rFFT: the MFCCs are defined on the emphasized
-spectrum and the centroid on the plain one, so two spectra are inherent.
+A segment is framed twice, plain and pre-emphasized, and each Hann-windowed
+frame matrix gets one power spectrum: the MFCCs are defined on the
+emphasized spectrum and the centroid on the plain one, so two spectra are
+inherent. ZCR reads the plain frames before windowing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .dsp import (
     DEFAULT_HOP,
     DEFAULT_N_FFT,
     LOG_FLOOR,
-    FrameMatrix,
+    SCALE_POWER,
     frame_signal,
     hann_window,
     power_spectrogram,
@@ -146,21 +147,20 @@ def _mel_bank(config: MfccConfig, sample_rate: int) -> np.ndarray:
     return fb
 
 
-def _emphasized_frames(buffer: AudioBuffer, config: MfccConfig) -> FrameMatrix:
-    """Hann-windowed frames of the pre-emphasized signal (the MFCC input)."""
+def mfcc(buffer: AudioBuffer, config: MfccConfig = MfccConfig()) -> np.ndarray:
+    """Frame-level MFCCs, shape (num_frames, n_coeffs).
+
+    Chain: pre-emphasis, Hann framing, power spectrum, mel filterbank,
+    log (1e-10 floor), orthonormal DCT-II, keep the first n_coeffs.
+    """
     config.validate(buffer.sample_rate)
     emphasized = pre_emphasis(buffer, config.pre_emphasis)
-    fm = frame_signal(emphasized, config.frame_len, config.hop)
+    fm = frame_signal(emphasized, config.frame_len, config.hop, window=True)
     if fm.frames.shape[0] == 0:
         raise SignalTooShort(
             f"need at least {config.frame_len} samples, got {len(buffer)}")
-    return fm
-
-
-def _cepstra(power: np.ndarray, config: MfccConfig,
-             sample_rate: int) -> np.ndarray:
-    """Mel energies, log (1e-10 floor), orthonormal DCT-II, first n_coeffs."""
-    energies = power @ _mel_bank(config, sample_rate).T
+    spec = power_spectrogram(fm, config.n_fft, SCALE_POWER)
+    energies = spec.bins @ _mel_bank(config, buffer.sample_rate).T
     log_e = np.log(energies + LOG_FLOOR)
     # orthonormal DCT-II basis, first n_coeffs rows only
     n = config.n_mels
@@ -168,16 +168,6 @@ def _cepstra(power: np.ndarray, config: MfccConfig,
     scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
     basis = scale * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
     return log_e @ basis.T
-
-
-def mfcc(buffer: AudioBuffer, config: MfccConfig = MfccConfig()) -> np.ndarray:
-    """Frame-level MFCCs, shape (num_frames, n_coeffs).
-
-    Chain: pre-emphasis, Hann framing, power spectrum, mel filterbank,
-    log (1e-10 floor), orthonormal DCT-II, keep the first n_coeffs.
-    """
-    spec = power_spectrogram(_emphasized_frames(buffer, config), config.n_fft)
-    return _cepstra(spec.bins, config, buffer.sample_rate)
 
 
 def zero_crossing_rate(frame: np.ndarray) -> float | np.ndarray:
@@ -235,15 +225,17 @@ def extract_clip_features(
     label: Optional[str] = None,
 ) -> FeatureVector:
     """Aggregate per-frame MFCC/ZCR/centroid to one named clip vector."""
-    emphasized = _emphasized_frames(segment, config)
-    plain = frame_signal(segment, config.frame_len, config.hop,
-                         window=False).frames
-    both = replace(emphasized, frames=np.stack(
-        [plain * hann_window(config.frame_len)[None, :], emphasized.frames]))
-    power = power_spectrogram(both, config.n_fft).bins
-    coeffs = _cepstra(power[1], config, segment.sample_rate)
-    zcrs = zero_crossing_rate(plain)
-    centroids = spectral_centroid(power[0], segment.sample_rate,
+    coeffs = mfcc(segment, config)
+
+    raw = frame_signal(segment, config.frame_len, config.hop, window=False)
+    zcrs = zero_crossing_rate(raw.frames)
+
+    # the Hann product frame_signal(window=True) applies, on the frames
+    # already taken, so the segment is not framed a third time
+    windowed = replace(
+        raw, frames=raw.frames * hann_window(config.frame_len)[None, :])
+    spec = power_spectrogram(windowed, config.n_fft, SCALE_POWER)
+    centroids = spectral_centroid(spec.bins, segment.sample_rate,
                                   config.n_fft).hz
 
     values = np.concatenate([
