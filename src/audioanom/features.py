@@ -91,8 +91,8 @@ class FeatureSet:
 
 
 class CentroidResult(NamedTuple):
-    hz: float | np.ndarray
-    silent: bool | np.ndarray
+    hz: np.ndarray
+    silent: np.ndarray
 
 
 def pre_emphasis(buffer: AudioBuffer, coeff: float = 0.97) -> AudioBuffer:
@@ -170,12 +170,12 @@ def mfcc(buffer: AudioBuffer, config: MfccConfig = MfccConfig()) -> np.ndarray:
     return log_e @ basis.T
 
 
-def zero_crossing_rate(frame: np.ndarray) -> float | np.ndarray:
+def zero_crossing_rate(frame: np.ndarray) -> np.ndarray:
     """Fraction of consecutive-sample sign changes along the last axis.
 
     Exact zeros inherit the previous nonzero sign; leading zeros count as
-    positive, so runs of silence never register as crossings. A 1-D frame
-    gives a float, a (..., frame_len) matrix one rate per frame.
+    positive, so runs of silence never register as crossings. A
+    (..., frame_len) array gives one rate per frame, shape (...).
     """
     frame = np.asarray(frame, dtype=np.float64)
     n = frame.shape[-1] if frame.ndim else 0
@@ -190,13 +190,13 @@ def zero_crossing_rate(frame: np.ndarray) -> float | np.ndarray:
     negative = np.maximum.accumulate(key, axis=-1) & 1
     rates = np.count_nonzero(negative[..., 1:] != negative[..., :-1],
                              axis=-1) / (n - 1)
-    return float(rates) if frame.ndim == 1 else rates
+    return np.asarray(rates)
 
 
 def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
                       n_fft: int) -> CentroidResult:
-    """Power-weighted mean frequency along the last axis; all-zero spectra
-    flag as silent at 0 Hz. Scalars for 1-D input, arrays for a matrix."""
+    """Power-weighted mean frequency along the last axis, one per spectrum;
+    all-zero spectra flag as silent at 0 Hz."""
     power_bins = np.asarray(power_bins, dtype=np.float64)
     n_bins = power_bins.shape[-1] if power_bins.ndim else 0
     if n_bins != n_fft // 2 + 1:
@@ -206,9 +206,7 @@ def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
     freqs = np.arange(n_bins) * sample_rate / n_fft
     hz = np.divide((freqs * power_bins).sum(axis=-1), total,
                    out=np.zeros_like(total), where=~silent)
-    if power_bins.ndim == 1:
-        return CentroidResult(float(hz), silent=bool(silent))
-    return CentroidResult(hz, silent=silent)
+    return CentroidResult(hz, silent=np.asarray(silent))
 
 
 def feature_schema(n_coeffs: int = 13) -> tuple:

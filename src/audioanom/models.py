@@ -41,46 +41,39 @@ def _gini(counts: np.ndarray) -> float:
     return 1.0 - float((p * p).sum())
 
 
-def _best_split_for_feature(x: np.ndarray, y: np.ndarray, k: int,
-                            min_leaf: int):
-    """Best (threshold, weighted child gini) for one feature, or None.
+def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int,
+                min_leaf: int, parent_gini: float):
+    """Best (column, threshold, gain) over the columns of X, or None.
 
-    Thresholds are midpoints of consecutive distinct sorted values; among
-    equal-quality splits the lowest threshold wins (scan is ascending).
+    Thresholds are midpoints of consecutive distinct sorted values. Each
+    column takes its lowest-child-gini threshold, the lowest one on ties;
+    the column of highest gain wins, the lowest one on ties, if that gain
+    exceeds 1e-15.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    n = len(xs)
-
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), ys] = 1.0
-    prefix = np.cumsum(onehot, axis=0)        # prefix[i] = counts of ys[:i+1]
-    total = prefix[-1]
-
-    # split after position i (left = first i+1 items) only where value changes
-    boundary = np.nonzero(xs[1:] > xs[:-1])[0]
-    if len(boundary) == 0:
-        return None
-    n_left = boundary + 1
+    n = len(y)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    # left[i, j] = class counts of the i+1 lowest rows of column j
+    left = np.cumsum(np.eye(n_classes)[y[order]], axis=0)[:-1]
+    right = np.bincount(y, minlength=n_classes) - left
+    n_left = np.arange(1, n)[:, None]
     n_right = n - n_left
-    ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not ok.any():
-        return None
-    boundary = boundary[ok]
-    n_left = n_left[ok]
-    n_right = n_right[ok]
-
-    left = prefix[boundary]
-    right = total[None, :] - left
-    gini_l = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+    gini_l = 1.0 - ((left / n_left[..., None]) ** 2).sum(axis=2)
+    gini_r = 1.0 - ((right / n_right[..., None]) ** 2).sum(axis=2)
     weighted = (n_left * gini_l + n_right * gini_r) / n
+    valid = ((xs[1:] > xs[:-1]) & (n_left >= min_leaf)
+             & (n_right >= min_leaf))
+    weighted[~valid] = np.inf
 
-    best = int(np.argmin(weighted))
-    i = boundary[best]
-    threshold = 0.5 * (xs[i] + xs[i + 1])
-    return float(threshold), float(weighted[best])
+    rows = np.argmin(weighted, axis=0)
+    cols = np.arange(X.shape[1])
+    gains = parent_gini - weighted[rows, cols]
+    best = int(np.argmax(gains))
+    if not gains[best] > 1e-15:
+        return None
+    i = rows[best]
+    threshold = 0.5 * (xs[i, best] + xs[i + 1, best])
+    return best, float(threshold), float(gains[best])
 
 
 class DecisionTree:
@@ -129,8 +122,11 @@ class DecisionTree:
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
-                params: TreeParams, rng: Optional[np.random.Generator],
-                mtry: Optional[int]) -> DecisionTree:
+                params: TreeParams,
+                rng: Optional[np.random.Generator] = None,
+                mtry: int = 0) -> DecisionTree:
+    """CART on every feature, or with an rng on mtry features drawn per
+    node."""
     n_total, n_features = X.shape
     nodes: list = []
     importances = np.zeros(n_features)
@@ -146,28 +142,19 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
                      and len(idx) >= 2 * params.min_samples_leaf)
         best = None
         if can_split:
-            if mtry is not None and mtry < n_features:
-                candidates = np.sort(rng.choice(n_features, size=mtry,
-                                                replace=False))
-            else:
-                candidates = np.arange(n_features)
-            for f in candidates:
-                found = _best_split_for_feature(X[idx, f], y[idx], n_classes,
-                                                params.min_samples_leaf)
-                if found is None:
-                    continue
-                threshold, child_gini = found
-                gain = parent_gini - child_gini
-                # strict comparisons: earlier (lower) feature wins ties
-                if gain > 1e-15 and (best is None or gain > best[0]):
-                    best = (gain, int(f), threshold)
+            candidates = (np.arange(n_features) if rng is None else
+                          np.sort(rng.choice(n_features, size=mtry,
+                                             replace=False)))
+            best = _best_split(X[np.ix_(idx, candidates)], y[idx], n_classes,
+                               params.min_samples_leaf, parent_gini)
 
         if best is None:
             proba = counts / counts.sum()
             nodes[node_id] = {"proba": proba.tolist()}
             return node_id
 
-        gain, feature, threshold = best
+        column, threshold, gain = best
+        feature = int(candidates[column])
         importances[feature] += (len(idx) / n_total) * gain
         mask = X[idx, feature] <= threshold
         left = grow(idx[mask], depth + 1)
@@ -180,14 +167,13 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
     return DecisionTree(nodes, n_classes, params, importances)
 
 
-def train_tree(data: FeatureSet, params: TreeParams = TreeParams(),
-               rng: Optional[np.random.Generator] = None,
-               mtry: Optional[int] = None) -> DecisionTree:
+def train_tree(data: FeatureSet,
+               params: TreeParams = TreeParams()) -> DecisionTree:
     if not data.vectors:
         raise EmptyDataset("no training instances")
     X = data.matrix()
     y = data.labels()
-    return _build_tree(X, y, len(data.class_names), params, rng, mtry)
+    return _build_tree(X, y, len(data.class_names), params)
 
 
 class RandomForest:
@@ -227,12 +213,9 @@ class RandomForest:
 def train_forest(data: FeatureSet, n_trees: int = 100,
                  mtry: Optional[int] = None,
                  params: TreeParams = TreeParams(),
-                 seed: int = 0, bootstrap: bool = True) -> RandomForest:
-    """Bagged CART forest with per-tree RNG streams derived from (seed, i).
-
-    bootstrap=False is a test hook reducing n_trees=1, mtry=n_features to a
-    plain train_tree run.
-    """
+                 seed: int = 0) -> RandomForest:
+    """Bagged CART forest with per-tree RNG streams derived from (seed, i):
+    each tree draws its bootstrap rows, then its per-node features."""
     if not data.vectors:
         raise EmptyDataset("no training instances")
     X = data.matrix()
@@ -249,7 +232,7 @@ def train_forest(data: FeatureSet, n_trees: int = 100,
     total_importance = np.zeros(n_features)
     for i in range(n_trees):
         rng = np.random.default_rng([seed, i])
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         tree = _build_tree(X[idx], y[idx], len(data.class_names), params,
                            rng, mtry)
         trees.append(tree)

@@ -1,8 +1,9 @@
 """Preprocessing pipeline: hybrid noise reduction, normalization, segmentation.
 
-Noise reduction runs spectral subtraction first (stationary noise), then
-optional NLMS cancellation when a reference channel exists; without a
-reference the adaptive stage is skipped, since NLMS is ill-posed without one.
+Noise reduction in the pipeline is spectral subtraction (stationary noise).
+nlms_cancel adapts against a reference channel, but the pipeline never
+calls it: read_wav downmixes stereo, so no reference channel reaches
+preprocessing, and NLMS is ill-posed without one.
 """
 
 from __future__ import annotations

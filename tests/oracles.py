@@ -65,7 +65,8 @@ def naive_filterbank(n_mels, n_fft, sample_rate, fmin, fmax):
 
 def naive_mfcc(samples, sample_rate, n_mels=26, n_coeffs=13, fmin=0.0,
                fmax=None, pre_emph=0.97, frame_len=400, hop=160, n_fft=512):
-    """Full MFCC chain with naive DFT / filterbank / DCT summations."""
+    """Full MFCC chain with direct DFT / filterbank / DCT summations; the
+    DFT is one matrix of the defining series' terms, built once."""
     if fmax is None:
         fmax = sample_rate / 2
     x = np.asarray(samples, dtype=np.float64)
@@ -79,12 +80,15 @@ def naive_mfcc(samples, sample_rate, n_mels=26, n_coeffs=13, fmin=0.0,
                        for k in range(frame_len)])
     num_frames = 1 + (len(y) - frame_len) // hop
     fb = naive_filterbank(n_mels, n_fft, sample_rate, fmin, fmax)
+    # dft[k, n] = exp(-2 pi i k n / n_fft) for the kept bins k <= n_fft / 2
+    # and the frame's samples n < frame_len (the zero padding adds nothing)
+    dft = np.exp(-2j * np.pi * np.outer(np.arange(n_fft // 2 + 1),
+                                        np.arange(frame_len)) / n_fft)
 
     out = np.zeros((num_frames, n_coeffs))
     for i in range(num_frames):
         frame = y[i * hop:i * hop + frame_len] * window
-        spec = naive_dft(frame, n_fft)
-        power = np.abs(spec[:n_fft // 2 + 1]) ** 2
+        power = np.abs(dft @ frame) ** 2
         energies = np.array([np.sum(fb[m] * power) for m in range(n_mels)])
         log_e = np.log(energies + 1e-10)
         out[i] = naive_dct2_ortho(log_e)[:n_coeffs]

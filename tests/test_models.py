@@ -92,6 +92,49 @@ def test_tree_monotone_feature_scaling_preserves_predictions():
         np.argmax(tree_g.predict_proba_values(Xg_test), axis=1))
 
 
+def test_tree_identical_columns_split_on_lower_feature():
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=40)
+    labels = ["A" if v > 0.2 else "B" for v in x]
+    # feature 0 is noise; 1 and 3 are the same informative column
+    X = np.stack([rng.normal(size=40), x, rng.normal(size=40), x], axis=1)
+    tree = train_tree(make_set(X, labels))
+    assert tree.nodes[0]["feature"] == 1
+
+
+def test_tree_equal_gini_thresholds_pick_lower():
+    # splitting at 0.5 or at 2.5 leaves one pure child of one row and an
+    # impure child of three (A, B, B vs A, A, B): equal child gini
+    data = make_set([[0.0], [1.0], [2.0], [3.0]], ["B", "A", "A", "B"])
+    tree = train_tree(data)
+    assert tree.nodes[0]["threshold"] == 0.5
+
+
+def _leaf_of(tree, X):
+    """Index of the leaf each row of X reaches, walked one row at a time."""
+    out = []
+    for x in X:
+        node = 0
+        while "proba" not in tree.nodes[node]:
+            split = tree.nodes[node]
+            go_left = x[split["feature"]] <= split["threshold"]
+            node = split["left"] if go_left else split["right"]
+        out.append(node)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 3, 5])
+def test_tree_leaves_hold_min_samples_leaf(min_leaf):
+    rng = np.random.default_rng(38)
+    X = np.round(rng.normal(size=(60, 3)), 1)
+    labels = ["A" if rng.random() < 0.5 else "B" for _ in range(60)]
+    tree = train_tree(make_set(X, labels), TreeParams(None, min_leaf))
+    sizes = np.bincount(_leaf_of(tree, X), minlength=len(tree.nodes))
+    leaves = [i for i, node in enumerate(tree.nodes) if "proba" in node]
+    assert len(leaves) > 1
+    assert all(sizes[i] >= min_leaf for i in leaves)
+
+
 # --- train_forest ---
 
 def test_forest_deterministic():
@@ -106,13 +149,18 @@ def test_forest_deterministic():
 
 
 def test_forest_reduces_to_single_tree():
+    # with every feature a candidate, a one-tree forest is a plain tree on
+    # its bootstrap draw, which comes first from the tree's (seed, 0) stream
     rng = np.random.default_rng(34)
     X = rng.normal(size=(30, 4))
     labels = ["A" if x[1] > 0 else "B" for x in X]
     data = make_set(X, labels)
-    forest = train_forest(data, n_trees=1, mtry=4, bootstrap=False)
-    tree = train_tree(data)
+    forest = train_forest(data, n_trees=1, mtry=4, seed=9)
+    idx = np.random.default_rng([9, 0]).integers(0, 30, 30)
+    tree = train_tree(data.subset(idx))
     assert forest.trees[0].nodes == tree.nodes
+    np.testing.assert_array_equal(forest.trees[0].importances,
+                                  tree.importances)
 
 
 def test_forest_importance_finds_informative_feature():

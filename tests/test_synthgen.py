@@ -56,7 +56,7 @@ def _frame_zcr_variance(buf, skip_s=0.3):
     tonal = AudioBuffer(buf.samples[int(skip_s * buf.sample_rate):],
                         buf.sample_rate)
     fm = frame_signal(tonal, 400, 160, window=False)
-    zcrs = [zero_crossing_rate(fr) for fr in fm.frames]
+    zcrs = [float(zero_crossing_rate(fr)) for fr in fm.frames]
     return np.var(zcrs)
 
 
