@@ -92,6 +92,8 @@ def read_wav(path) -> AudioBuffer:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if audio_format == _FMT_EXTENSIBLE:
         raise UnsupportedEncoding(f"{path}: WAVE_FORMAT_EXTENSIBLE not supported")
+    if sample_rate == 0:
+        raise MalformedContainer(f"{path}: sample rate 0 in fmt chunk")
     if channels not in (1, 2):
         raise UnsupportedEncoding(f"{path}: {channels} channels (only mono/stereo)")
 

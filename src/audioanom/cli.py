@@ -3,7 +3,7 @@
 Subcommands: synth, preprocess, extract, train, evaluate, pipeline, render.
 Exit codes are uniform: 0 success, 1 runtime error (I/O, bad files),
 2 configuration error (bad flags/config values). AUDIOANOM_CONFIG names a
-default config file; flags override file values.
+default config file, --config replaces it, and flags override file values.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ import numpy as np
 
 from . import pipeline as pl
 from .audio_io import read_wav, resample_linear
-from .config import PipelineConfig
+from .config import PipelineConfig, read_config_file
 from .dsp import SCALE_POWER, frame_signal, power_spectrogram
 from .errors import AudioAnomError, ConfigError, SchemaMismatch
 from .evaluate import emit_report
 from .features import load_featureset, save_featureset
 from .models import load_model, save_model
-from .synthgen import CorpusSpec, generate_corpus, load_manifest
+from .synthgen import generate_corpus, load_manifest
 
 CONFIG_ENV = "AUDIOANOM_CONFIG"
 
@@ -33,24 +33,16 @@ SPECTROGRAM_DB_MAX = 0.0
 
 def _load_config(args) -> PipelineConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
-    cfg = PipelineConfig.load(path) if path else PipelineConfig()
-    overrides = {}
+    values = read_config_file(path) if path else {}
     for f in dataclasses.fields(PipelineConfig):
         value = getattr(args, f"cfg_{f.name}", None)
         if value is not None:
-            overrides[f.name] = value
-    if overrides:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), **overrides})
-    return cfg.validate()
+            values[f.name] = value
+    return PipelineConfig.from_dict(values)
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    spec = CorpusSpec(n_per_class=args.n if args.n is not None else cfg.n_per_class,
-                      seed=args.seed if args.seed is not None else cfg.seed,
-                      sample_rate=cfg.sample_rate, clip_s=cfg.clip_s,
-                      snr_db=cfg.snr_db, jitter_sigma_hz=cfg.jitter_sigma_hz)
-    rows = generate_corpus(spec, args.out)
+    rows = generate_corpus(pl.corpus_spec(_load_config(args)), args.out)
     print(f"wrote {len(rows)} clips to {args.out}")
     return 0
 
@@ -140,12 +132,12 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, exclude=()) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON config file "
                         f"(default: ${CONFIG_ENV})")
     group = parser.add_argument_group("config overrides")
     for f in dataclasses.fields(PipelineConfig):
-        if f.name == "version" or f.name in exclude:
+        if f.name == "version":
             continue
         ftype = f.type.replace("Optional[", "").rstrip("]")
         caster = {"int": int, "float": float, "str": str}.get(ftype, str)
@@ -161,10 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate the synthetic corpus")
-    p.add_argument("--n", type=int, help="clips per class")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, exclude=("seed", "n_per_class"))
+    _add_config_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="denoise, normalize, segment")
@@ -214,10 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SchemaMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, SchemaMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AudioAnomError, OSError) as exc:

@@ -1,6 +1,6 @@
 """Flat, versioned pipeline configuration.
 
-Every tunable from every stage lives here with its default; config files
+Every tunable that a stage reads lives here with its default; config files
 are flat JSON key/value documents. Unknown keys are rejected and values
 are validated against stage preconditions at load time, so a typo fails
 before any audio is touched.
@@ -32,8 +32,6 @@ class PipelineConfig:
     alpha: float = 2.0
     beta: float = 0.01
     lead_ms: float = 250.0
-    mu: float = 0.5
-    taps: int = 32
 
     # normalization / segmentation
     normalize_mode: str = "peak"
@@ -66,9 +64,6 @@ class PipelineConfig:
     snr_db: float = 20.0
     jitter_sigma_hz: float = 0.3
 
-    # execution (serial implementation; accepted for interface stability)
-    jobs: int = 1
-
     def validate(self) -> "PipelineConfig":
         checks = [
             (self.version == CONFIG_FORMAT_VERSION,
@@ -82,8 +77,6 @@ class PipelineConfig:
             (self.alpha >= 0, "alpha must be >= 0"),
             (0 <= self.beta <= 1, "beta must be in [0, 1]"),
             (self.lead_ms > 0, "lead_ms must be positive"),
-            (0 < self.mu < 2, "mu must be in (0, 2)"),
-            (self.taps >= 1, "taps must be >= 1"),
             (self.normalize_mode in ("peak", "rms"),
              "normalize_mode must be peak or rms"),
             (self.normalize_target > 0, "normalize_target must be positive"),
@@ -108,7 +101,6 @@ class PipelineConfig:
             (self.n_per_class >= 1, "n_per_class must be >= 1"),
             (self.clip_s > 0, "clip_s must be positive"),
             (self.jitter_sigma_hz >= 0, "jitter_sigma_hz must be >= 0"),
-            (self.jobs >= 1, "jobs must be >= 1"),
         ]
         for ok, message in checks:
             if not ok:
@@ -126,18 +118,14 @@ class PipelineConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d).validate()
 
-    @classmethod
-    def load(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(d)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+def read_config_file(path) -> dict:
+    """A JSON config file's key/value object, for `PipelineConfig.from_dict`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return d

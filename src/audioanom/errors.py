@@ -65,6 +65,10 @@ class FrameTooShort(AudioAnomError):
     """Frame too short for the requested statistic."""
 
 
+class NonFiniteFeature(AudioAnomError):
+    """A feature value is NaN or infinite."""
+
+
 # --- models ---
 
 class EmptyDataset(AudioAnomError):

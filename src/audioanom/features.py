@@ -32,7 +32,7 @@ from .dsp import (
     power_spectrogram,
 )
 from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
-                     SignalTooShort)
+                     NonFiniteFeature, SignalTooShort)
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,16 @@ class FeatureSet:
     def subset(self, indices) -> "FeatureSet":
         return FeatureSet([self.vectors[i] for i in indices],
                           self.names, self.class_names)
+
+
+def require_finite(X: np.ndarray, vectors) -> None:
+    """Raise NonFiniteFeature naming the clip and column of the first NaN or
+    infinity in X, whose row i holds the values of vectors[i]."""
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        v, j = vectors[bad[0, 0]], bad[0, 1]
+        raise NonFiniteFeature(f"clip {v.clip_id!r}: value {v.values[j]} "
+                               f"in column {v.names[j]!r}")
 
 
 class CentroidResult(NamedTuple):
@@ -278,7 +288,9 @@ def featureset_from_csv(text: str) -> FeatureSet:
         vectors.append(FeatureVector(names, values, clip_id=clip_id, label=label))
         if label is not None and label not in seen_labels:
             seen_labels.append(label)
-    return FeatureSet(vectors, names, tuple(sorted(seen_labels)))
+    fs = FeatureSet(vectors, names, tuple(sorted(seen_labels)))
+    require_finite(fs.matrix(), vectors)
+    return fs
 
 
 def save_featureset(fs: FeatureSet, path) -> None:

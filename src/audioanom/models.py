@@ -22,7 +22,7 @@ from .errors import (
     NotBinary,
     SchemaMismatch,
 )
-from .features import FeatureSet, FeatureVector
+from .features import FeatureSet, FeatureVector, require_finite
 
 MODEL_FORMAT_VERSION = 1
 
@@ -408,9 +408,11 @@ def predict_proba(model, data) -> np.ndarray:
     (n, n_classes) for a FeatureSet, (n_classes,) for a FeatureVector.
     """
     _check_schema(model, data.names)
-    if isinstance(data, FeatureVector):
-        return model.predict_proba_values(data.values[None, :])[0]
-    return model.predict_proba_values(data.matrix())
+    one = isinstance(data, FeatureVector)
+    X = data.values[None, :] if one else data.matrix()
+    require_finite(X, [data] if one else data.vectors)
+    P = model.predict_proba_values(X)
+    return P[0] if one else P
 
 
 # --- persistence ---

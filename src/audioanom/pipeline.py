@@ -42,6 +42,12 @@ def mfcc_config(cfg: PipelineConfig) -> MfccConfig:
                       frame_len=cfg.frame_len, hop=cfg.hop, n_fft=cfg.n_fft)
 
 
+def corpus_spec(cfg: PipelineConfig) -> CorpusSpec:
+    return CorpusSpec(n_per_class=cfg.n_per_class, seed=cfg.seed,
+                      sample_rate=cfg.sample_rate, clip_s=cfg.clip_s,
+                      snr_db=cfg.snr_db, jitter_sigma_hz=cfg.jitter_sigma_hz)
+
+
 def preprocess_clip(buf: AudioBuffer, cfg: PipelineConfig):
     """Noise reduction -> normalization -> segmentation for one clip.
 
@@ -134,10 +140,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> dict:
     corpus_dir = os.path.join(out_dir, "corpus")
     seg_dir = os.path.join(out_dir, "segments")
 
-    spec = CorpusSpec(n_per_class=cfg.n_per_class, seed=cfg.seed,
-                      sample_rate=cfg.sample_rate, clip_s=cfg.clip_s,
-                      snr_db=cfg.snr_db, jitter_sigma_hz=cfg.jitter_sigma_hz)
-    rows = generate_corpus(spec, corpus_dir)
+    rows = generate_corpus(corpus_spec(cfg), corpus_dir)
 
     seg_rows = preprocess_manifest(rows, cfg, seg_dir)
     seg_manifest = os.path.join(out_dir, "segments.csv")

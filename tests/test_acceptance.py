@@ -234,8 +234,11 @@ def test_criterion_7_determinism(tmp_path):
     outs = [tmp_path / "r1", tmp_path / "r2", tmp_path / "r3"]
     assert main(args + ["--out", str(outs[0])]) == 0
     assert main(args + ["--out", str(outs[1])]) == 0
-    # parallelism forced to 1 (implementation is serial either way)
-    assert main(args + ["--jobs", "1", "--out", str(outs[2])]) == 0
+    # the same settings from a config file instead of flags
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_per_class": 6, "seed": 42, "n_trees": 10,
+                               "svm_epochs": 10}))
+    assert main(["pipeline", "--config", str(cfg), "--out", str(outs[2])]) == 0
 
     compared = 0
     for name in ("features.csv", "model_forest.json", "model_svm.json",

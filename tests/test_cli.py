@@ -1,6 +1,9 @@
+import ast
 import csv
+import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -8,7 +11,8 @@ import numpy as np
 import pytest
 
 from audioanom.audio_io import AudioBuffer, write_wav
-from audioanom.cli import main
+from audioanom.cli import CONFIG_ENV, main
+from audioanom.config import PipelineConfig
 from audioanom.synthgen import load_manifest
 
 SR = 16000
@@ -17,7 +21,7 @@ SR = 16000
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
-    assert main(["synth", "--n", "3", "--seed", "42",
+    assert main(["synth", "--n-per-class", "3", "--seed", "42",
                  "--out", str(out)]) == 0
     return out
 
@@ -32,14 +36,16 @@ def test_synth_outputs(corpus):
 
 
 def test_synth_invalid_n(tmp_path, capsys):
-    assert main(["synth", "--n", "0", "--out", str(tmp_path / "c")]) == 2
+    assert main(["synth", "--n-per-class", "0",
+                 "--out", str(tmp_path / "c")]) == 2
     assert "n_per_class" in capsys.readouterr().err
 
 
 def test_synth_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["synth", "--n", "2", "--seed", "7", "--out", str(a)]) == 0
-    assert main(["synth", "--n", "2", "--seed", "7", "--out", str(b)]) == 0
+    args = ["synth", "--n-per-class", "2", "--seed", "7"]
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     for name in sorted(os.listdir(a)):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -63,6 +69,20 @@ def test_preprocess_missing_file(tmp_path, capsys):
     assert main(["preprocess", "--manifest", str(manifest),
                  "--out", str(tmp_path / "s")]) == 1
     assert "x.wav" in capsys.readouterr().err
+
+
+def test_preprocess_zero_sample_rate_is_bad_input(tmp_path, capsys):
+    # a PCM16 header claiming 0 Hz: a fault in the input file, not the config
+    payload = struct.pack("<100h", *range(100))
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 0, 0, 2, 16)
+    body = b"WAVE" + fmt + b"data" + struct.pack("<I", len(payload)) + payload
+    clip = tmp_path / "zero_rate.wav"
+    clip.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"clip_id,path,label\nc0,{clip},normal\n")
+    assert main(["preprocess", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "zero_rate.wav" in capsys.readouterr().err
 
 
 def test_preprocess_rerun_byte_identical(corpus, tmp_path):
@@ -170,6 +190,25 @@ def test_evaluate_empty_label_names_clip(extracted, small_forest, tmp_path,
     assert rows[2][0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["forest", "svm"])
+def test_evaluate_nan_feature_names_clip_and_column(extracted, small_forest,
+                                                   tmp_path, capsys, model):
+    _, features = extracted
+    with open(features) as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("MFCC_mean_3")
+    rows[1][column] = "nan"
+    bad = tmp_path / "nan.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows[:3])
+    model_path = small_forest.parent / f"model_{model}.json"
+    assert main(["evaluate", "--model", str(model_path), "--test", str(bad),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert rows[1][0] in err and "MFCC_mean_3" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     import audioanom
     src = os.path.dirname(os.path.dirname(audioanom.__file__))
@@ -208,8 +247,7 @@ def test_pipeline_matches_stepwise_commands(tmp_path):
 
     step = tmp_path / "step"
     step.mkdir()
-    assert main(["synth", "--n", "4", "--seed", "11",
-                 "--out", str(step / "corpus")]) == 0
+    assert main(["synth", "--out", str(step / "corpus")] + flags) == 0
     assert main(["preprocess", "--manifest", str(step / "corpus" / "manifest.csv"),
                  "--out", str(step / "segments")] + flags) == 0
     assert main(["extract", "--manifest", str(step / "segments" / "segments.csv"),
@@ -237,10 +275,52 @@ def test_config_file_and_unknown_key(tmp_path, capsys):
     echoed = json.loads((out / "report_forest.json").read_text())["config_echo"]
     assert echoed["n_per_class"] == 2
 
+    # removed keys (jobs, mu, taps) are rejected like any unknown key
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"not_a_key": 1}))
-    assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
-    assert "not_a_key" in capsys.readouterr().err
+    for key in ("not_a_key", "jobs", "mu", "taps"):
+        bad.write_text(json.dumps({key: 1}))
+        assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+def test_config_precedence(tmp_path, monkeypatch):
+    # AUDIOANOM_CONFIG names the default file, --config replaces it, and
+    # flags override whichever file is read
+    small = {"n_per_class": 2, "seed": 3, "n_trees": 2, "svm_epochs": 1}
+    env_cfg = tmp_path / "env.json"
+    env_cfg.write_text(json.dumps({**small, "alpha": 1.5}))
+    file_cfg = tmp_path / "file.json"
+    file_cfg.write_text(json.dumps({**small, "beta": 0.05}))
+    monkeypatch.setenv(CONFIG_ENV, str(env_cfg))
+
+    def echo(name, *args):
+        out = tmp_path / name
+        assert main(["pipeline", "--out", str(out), *args]) == 0
+        return json.loads((out / "report_forest.json").read_text())[
+            "config_echo"]
+
+    from_env = echo("env")
+    assert (from_env["alpha"], from_env["beta"]) == (1.5, 0.01)
+    from_file = echo("file", "--config", str(file_cfg))
+    assert (from_file["alpha"], from_file["beta"]) == (2.0, 0.05)
+    flagged = echo("flags", "--config", str(file_cfg), "--beta", "0.02",
+                   "--n-trees", "3")
+    assert (flagged["beta"], flagged["n_trees"]) == (0.02, 3)
+
+
+def test_every_config_field_is_read():
+    # a field no stage reads is a setting that changes nothing
+    import audioanom.cli
+    import audioanom.pipeline
+    read = set()
+    for module in (audioanom.cli, audioanom.pipeline):
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"version"}
+    assert sorted(fields - read) == []
 
 
 def _read_pgm(path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from audioanom.errors import EmptyDataset, NotBinary, SchemaMismatch
+from audioanom.errors import (EmptyDataset, NonFiniteFeature, NotBinary,
+                              SchemaMismatch)
 from audioanom.features import FeatureSet, FeatureVector
 from audioanom.models import (
     EnsembleModel,
@@ -254,6 +255,17 @@ def test_pure_leaf_forest_proba():
     forest = train_forest(data, n_trees=1, mtry=1, seed=0)
     x = FeatureVector(("f0",), np.array([1.5]), "c")
     np.testing.assert_array_equal(predict_proba(forest, x), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_proba_rejects_non_finite(bad):
+    data = make_set([[0.0, 1.0], [1.0, 0.0]], ["A", "B"])
+    svm = train_svm(data, epochs=1, seed=0)
+    rows = make_set([[0.0, 1.0], [1.0, bad]], ["A", "B"])
+    with pytest.raises(NonFiniteFeature, match="'c1'.*'f1'"):
+        predict_proba(svm, rows)
+    with pytest.raises(NonFiniteFeature, match="'c1'.*'f1'"):
+        predict_proba(svm, rows.vectors[1])
 
 
 def test_svm_logistic_at_zero():
