@@ -118,15 +118,26 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples, int(sample_rate))
 
 
+def _pcm16(samples: np.ndarray) -> np.ndarray:
+    """Little-endian int16 samples; amplitudes are clamped to [-1, 1] first."""
+    clipped = np.clip(samples, -1.0, 1.0)
+    # symmetric with the read-side 1/32768 scaling so the round trip stays
+    # within one LSB; +1.0 saturates at 32767
+    return np.clip(np.round(clipped * 32768.0), -32768, 32767).astype("<i2")
+
+
+def quantize_pcm16(buffer: AudioBuffer) -> AudioBuffer:
+    """The buffer that read_wav returns for the file write_wav makes of
+    `buffer`, without the file."""
+    return AudioBuffer(_pcm16(buffer.samples).astype(np.float64) / 32768.0,
+                       buffer.sample_rate)
+
+
 def write_wav(buffer: AudioBuffer, path) -> None:
     """Write a mono PCM16 WAV. Amplitudes are clamped to [-1, 1] first."""
     if len(buffer) == 0:
         raise EmptyAudio("refusing to write an empty buffer")
-    clipped = np.clip(buffer.samples, -1.0, 1.0)
-    # symmetric with the read-side 1/32768 scaling so the round trip stays
-    # within one LSB; +1.0 saturates at 32767
-    pcm = np.clip(np.round(clipped * 32768.0), -32768, 32767).astype("<i2")
-    data_bytes = pcm.tobytes()
+    data_bytes = _pcm16(buffer.samples).tobytes()
 
     header = b"RIFF" + struct.pack("<I", 36 + len(data_bytes)) + b"WAVE"
     fmt = b"fmt " + struct.pack(

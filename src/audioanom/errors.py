@@ -69,6 +69,11 @@ class NonFiniteFeature(AudioAnomError):
     """A feature value is NaN or infinite."""
 
 
+class MalformedFeatureFile(AudioAnomError):
+    """Feature CSV that is empty, has a bad header, a row of the wrong
+    length or a value that is not a number."""
+
+
 # --- models ---
 
 class EmptyDataset(AudioAnomError):
@@ -85,6 +90,11 @@ class EmptyClass(AudioAnomError):
 
 class SchemaMismatch(AudioAnomError):
     """Feature vector does not conform to the model's schema."""
+
+
+class MalformedModel(AudioAnomError):
+    """Model JSON that is not JSON, of an unknown kind or format version, or
+    missing a field its kind needs."""
 
 
 # --- eval ---

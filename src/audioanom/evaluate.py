@@ -220,11 +220,3 @@ def emit_report(report: EvaluationReport, path) -> None:
 def load_report(path) -> EvaluationReport:
     with open(path, "r", encoding="utf-8") as fh:
         return report_from_dict(json.load(fh))
-
-
-def confusion_to_csv(cm: ConfusionMatrix) -> str:
-    """Confusion matrix as CSV: header = predicted classes, rows = true."""
-    lines = ["true\\predicted," + ",".join(cm.class_names)]
-    for name, row in zip(cm.class_names, cm.counts):
-        lines.append(name + "," + ",".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ from .dsp import (
     power_spectrogram,
 )
 from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
-                     NonFiniteFeature, SignalTooShort)
+                     MalformedFeatureFile, NonFiniteFeature, SignalTooShort)
 
 
 @dataclass(frozen=True)
@@ -269,22 +269,41 @@ def featureset_to_csv(fs: FeatureSet) -> str:
     return out.getvalue()
 
 
-def featureset_from_csv(text: str) -> FeatureSet:
+def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
+    """Parse featureset_to_csv's format; MalformedFeatureFile names `source`,
+    the clip and the column of a fault."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise MalformedFeatureFile(f"{source}: empty file, no header")
     if header[:2] != ["clip_id", "label"]:
-        raise ValueError("feature CSV must start with clip_id,label columns")
+        raise MalformedFeatureFile(f"{source}: header must start with "
+                                   f"clip_id,label, got {header[:2]}")
     names = tuple(header[2:])
     vectors = []
     seen_labels = []
     for row in reader:
         if not row:
             continue
-        clip_id, label = row[0], row[1] or None
-        values = np.array([float(x) for x in row[2:]], dtype=np.float64)
-        if len(values) != len(names):
-            raise ValueError(f"row for {clip_id!r} has {len(values)} values, "
-                             f"expected {len(names)}")
+        clip_id = row[0]
+        if len(row) < len(header):
+            raise MalformedFeatureFile(f"{source}: clip {clip_id!r} has no "
+                                       f"value in column {header[len(row)]!r}")
+        if len(row) > len(header):
+            raise MalformedFeatureFile(
+                f"{source}: clip {clip_id!r} has {len(row) - 2} values for "
+                f"{len(names)} feature columns")
+        label = row[1] or None
+        try:
+            values = np.array([float(x) for x in row[2:]], dtype=np.float64)
+        except ValueError:
+            for x, name in zip(row[2:], names):
+                try:
+                    float(x)
+                except ValueError:
+                    raise MalformedFeatureFile(
+                        f"{source}: clip {clip_id!r}: {x!r} in column "
+                        f"{name!r} is not a number") from None
         vectors.append(FeatureVector(names, values, clip_id=clip_id, label=label))
         if label is not None and label not in seen_labels:
             seen_labels.append(label)
@@ -300,4 +319,4 @@ def save_featureset(fs: FeatureSet, path) -> None:
 
 def load_featureset(path) -> FeatureSet:
     with open(path, "r", encoding="utf-8") as fh:
-        return featureset_from_csv(fh.read())
+        return featureset_from_csv(fh.read(), str(path))

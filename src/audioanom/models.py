@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     EmptyClass,
     EmptyDataset,
+    MalformedModel,
     NotBinary,
     SchemaMismatch,
 )
@@ -417,15 +418,46 @@ def predict_proba(model, data) -> np.ndarray:
 
 # --- persistence ---
 
+# the keys, besides format_version and kind, that each kind of document holds
+_MODEL_KEYS = {
+    "random_forest": ("feature_names", "class_names", "mtry", "seed",
+                      "importances", "trees"),
+    "linear_svm": ("feature_names", "class_names", "weights", "bias",
+                   "scaler_mean", "scaler_std", "lambda", "epochs", "seed"),
+    "ensemble": ("feature_names", "class_names", "members"),
+}
+_TREE_KEYS = ("nodes", "n_classes", "max_depth", "min_samples_leaf")
+_MEMBER_KEYS = ("weight", "model")
+
+
+def _require_keys(d, keys, what: str) -> None:
+    if not isinstance(d, dict):
+        raise MalformedModel(f"{what} is not a JSON object")
+    missing = sorted(set(keys) - d.keys())
+    if missing:
+        raise MalformedModel(f"{what} lacks {missing}")
+
+
 def model_from_dict(d: dict):
-    kind = d.get("kind")
+    """The model of a v1 document, after checking its kind, its
+    format_version and the keys its kind needs."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind not in _MODEL_KEYS:
+        raise MalformedModel(f"unknown model kind {kind!r}")
+    _require_keys(d, ("format_version", *_MODEL_KEYS[kind]), f"{kind} model")
+    if d["format_version"] != MODEL_FORMAT_VERSION:
+        raise MalformedModel(f"{kind} model has format_version "
+                             f"{d['format_version']!r}, expected "
+                             f"{MODEL_FORMAT_VERSION}")
     if kind == "random_forest":
+        for i, tree in enumerate(d["trees"]):
+            _require_keys(tree, _TREE_KEYS, f"tree {i}")
         return RandomForest.from_dict(d)
     if kind == "linear_svm":
         return LinearSvm.from_dict(d)
-    if kind == "ensemble":
-        return EnsembleModel.from_dict(d)
-    raise ValueError(f"unknown model kind {kind!r}")
+    for i, member in enumerate(d["members"]):
+        _require_keys(member, _MEMBER_KEYS, f"ensemble member {i}")
+    return EnsembleModel.from_dict(d)
 
 
 def save_model(model, path) -> None:
@@ -435,5 +467,9 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """The model saved at `path`; MalformedModel names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except (json.JSONDecodeError, MalformedModel) as exc:
+            raise MalformedModel(f"{path}: {exc}") from exc

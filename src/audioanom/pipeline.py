@@ -5,9 +5,13 @@ single config + seed. The CLI is a thin wrapper around these functions.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import multiprocessing
 import os
 
-from .audio_io import AudioBuffer, read_wav, resample_linear, write_wav
+from .audio_io import (AudioBuffer, quantize_pcm16, read_wav, resample_linear,
+                       write_wav)
 from .config import PipelineConfig
 from .errors import TooShortForProfile
 from .evaluate import (
@@ -19,6 +23,7 @@ from .evaluate import (
 )
 from .features import (
     FeatureSet,
+    FeatureVector,
     MfccConfig,
     extract_clip_features,
     save_featureset,
@@ -32,7 +37,7 @@ from .models import (
     train_svm,
 )
 from .preprocess import estimate_noise_profile, normalize, segment, spectral_subtract
-from .synthgen import CorpusSpec, generate_corpus, write_manifest
+from .synthgen import CorpusSpec, render_clip, write_manifest
 
 
 def mfcc_config(cfg: PipelineConfig) -> MfccConfig:
@@ -64,6 +69,17 @@ def preprocess_clip(buf: AudioBuffer, cfg: PipelineConfig):
     return segment(buf, cfg.seg_len_s, cfg.pad_policy).segments
 
 
+def _write_segments(clip_id, label, segments, out_dir) -> list:
+    """Write one clip's segments as WAVs; returns their manifest rows."""
+    seg_rows = []
+    for j, seg in enumerate(segments):
+        seg_id = f"{clip_id}_seg{j:03d}"
+        seg_path = os.path.join(out_dir, seg_id + ".wav")
+        write_wav(seg, seg_path)
+        seg_rows.append((seg_id, seg_path, label))
+    return seg_rows
+
+
 def preprocess_manifest(rows, cfg: PipelineConfig, out_dir) -> list:
     """Process every manifest clip; returns segment manifest rows sorted by
     (clip_id, segment index)."""
@@ -71,11 +87,7 @@ def preprocess_manifest(rows, cfg: PipelineConfig, out_dir) -> list:
     seg_rows = []
     for clip_id, path, label in sorted(rows, key=lambda r: r[0]):
         segments = preprocess_clip(read_wav(path), cfg)
-        for j, seg in enumerate(segments):
-            seg_id = f"{clip_id}_seg{j:03d}"
-            seg_path = os.path.join(out_dir, seg_id + ".wav")
-            write_wav(seg, seg_path)
-            seg_rows.append((seg_id, seg_path, label))
+        seg_rows += _write_segments(clip_id, label, segments, out_dir)
     return seg_rows
 
 
@@ -83,19 +95,80 @@ def write_segment_manifest(seg_rows, path) -> None:
     write_manifest(seg_rows, path)
 
 
+def _segment_features(buf: AudioBuffer, cfg: PipelineConfig, seg_id,
+                     label) -> FeatureVector:
+    """The feature vector of one segment, at the configured sample rate."""
+    return extract_clip_features(resample_linear(buf, cfg.sample_rate),
+                                 mfcc_config(cfg), clip_id=seg_id, label=label)
+
+
+def _featureset(vectors) -> FeatureSet:
+    names = vectors[0].names if vectors else ()
+    return FeatureSet(vectors, names,
+                      tuple(sorted({v.label for v in vectors})))
+
+
 def extract_manifest(rows, cfg: PipelineConfig) -> FeatureSet:
     """Feature vectors for every (segment) manifest row."""
-    mcfg = mfcc_config(cfg)
-    vectors = []
-    labels = []
-    for clip_id, path, label in rows:
-        buf = resample_linear(read_wav(path), cfg.sample_rate)
-        vectors.append(extract_clip_features(buf, mcfg, clip_id=clip_id,
-                                             label=label))
-        if label not in labels:
-            labels.append(label)
-    names = vectors[0].names if vectors else ()
-    return FeatureSet(vectors, names, tuple(sorted(labels)))
+    return _featureset([_segment_features(read_wav(path), cfg, seg_id, label)
+                        for seg_id, path, label in rows])
+
+
+def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:
+    """Clip i through synth, preprocess and extract, writing its corpus and
+    segment WAVs. Returns its manifest row, its segment rows and their
+    feature vectors, which equal the file-based stages' because every stage
+    reads the samples its WAVs hold."""
+    clip_id, label, buf = render_clip(corpus_spec(cfg), i)
+    path = os.path.join(corpus_dir, clip_id + ".wav")
+    write_wav(buf, path)
+    segments = preprocess_clip(quantize_pcm16(buf), cfg)
+    seg_rows = _write_segments(clip_id, label, segments, seg_dir)
+    vectors = [_segment_features(quantize_pcm16(seg), cfg, seg_id, label)
+               for seg, (seg_id, _, _) in zip(segments, seg_rows)]
+    return (clip_id, path, label), seg_rows, vectors
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: keep OpenBLAS to the worker's own thread. Its own
+    threads would compete with the other workers for the same CPUs: on
+    2 CPUs a default run took longer than a serial one. A no-op where numpy
+    uses another BLAS or the library cannot be found; it must not raise,
+    since a pool replaces a worker whose initializer fails, forever."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line}
+        for lib in map(ctypes.CDLL, libs):
+            for name in ("scipy_openblas_set_num_threads64_",
+                         "openblas_set_num_threads64_",
+                         "openblas_set_num_threads"):
+                if hasattr(lib, name):
+                    getattr(lib, name)(1)
+    except OSError:
+        pass
+
+
+def _front_end(cfg: PipelineConfig, corpus_dir, seg_dir) -> tuple:
+    """synth -> preprocess -> extract over every clip, one clip per task on
+    a process pool as wide as the usable CPUs. Returns the corpus rows in
+    clip order and the segment rows and feature set in clip_id order, as
+    generate_corpus, preprocess_manifest and extract_manifest give them."""
+    os.makedirs(corpus_dir, exist_ok=True)
+    os.makedirs(seg_dir, exist_ok=True)
+    n_clips = 2 * cfg.n_per_class
+    width = min(len(os.sched_getaffinity(0)), n_clips)
+    # fork: workers inherit the imported modules instead of importing them
+    # again. OpenBLAS stops its threads at a fork; the program has no others.
+    with multiprocessing.get_context("fork").Pool(
+            width, initializer=_one_blas_thread) as pool:
+        clips = pool.map(functools.partial(_run_clip, cfg, corpus_dir,
+                                           seg_dir), range(n_clips))
+    seg_rows, vectors = [], []
+    for _, clip_seg_rows, clip_vectors in sorted(clips,
+                                                 key=lambda c: c[0][0]):
+        seg_rows += clip_seg_rows
+        vectors += clip_vectors
+    return [row for row, _, _ in clips], seg_rows, _featureset(vectors)
 
 
 def train_models(train: FeatureSet, cfg: PipelineConfig) -> dict:
@@ -140,13 +213,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> dict:
     corpus_dir = os.path.join(out_dir, "corpus")
     seg_dir = os.path.join(out_dir, "segments")
 
-    rows = generate_corpus(corpus_spec(cfg), corpus_dir)
-
-    seg_rows = preprocess_manifest(rows, cfg, seg_dir)
+    rows, seg_rows, features = _front_end(cfg, corpus_dir, seg_dir)
+    write_manifest(rows, os.path.join(corpus_dir, "manifest.csv"))
     seg_manifest = os.path.join(out_dir, "segments.csv")
     write_segment_manifest(seg_rows, seg_manifest)
 
-    features = extract_manifest(seg_rows, cfg)
     features_csv = os.path.join(out_dir, "features.csv")
     save_featureset(features, features_csv)
 

@@ -52,8 +52,8 @@ def _reflect(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + np.where(folded <= span, folded, 2 * span - folded)
 
 
-def _render_clip(spec: CorpusSpec, label: str,
-                 rng: np.random.Generator) -> AudioBuffer:
+def _synthesize(spec: CorpusSpec, label: str,
+                rng: np.random.Generator) -> AudioBuffer:
     sr = spec.sample_rate
     n = int(round(spec.clip_s * sr))
     n_lead = int(round(spec.lead_silence_s * sr))
@@ -96,17 +96,21 @@ def _render_clip(spec: CorpusSpec, label: str,
     return AudioBuffer(x, sr)
 
 
+def render_clip(spec: CorpusSpec, i: int) -> tuple:
+    """Clip i of the corpus as (clip_id, label, buffer); even indices are
+    normal, odd anomalous."""
+    label = ("normal", "anomalous")[i % 2]
+    buf = _synthesize(spec, label, np.random.default_rng([spec.seed, i]))
+    return f"clip_{i:04d}_{label}", label, buf
+
+
 def generate_corpus(spec: CorpusSpec, out_dir) -> list:
     """Write 2 * n_per_class WAVs plus manifest.csv; returns the manifest
     rows as (clip_id, path, label)."""
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    labels = ["normal", "anomalous"]
     for i in range(2 * spec.n_per_class):
-        label = labels[i % 2]
-        clip_id = f"clip_{i:04d}_{label}"
-        rng = np.random.default_rng([spec.seed, i])
-        buf = _render_clip(spec, label, rng)
+        clip_id, label, buf = render_clip(spec, i)
         path = os.path.join(out_dir, clip_id + ".wav")
         write_wav(buf, path)
         rows.append((clip_id, path, label))

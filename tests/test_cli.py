@@ -2,7 +2,9 @@ import ast
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -209,6 +211,46 @@ def test_evaluate_nan_feature_names_clip_and_column(extracted, small_forest,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("", ["empty"]),
+    ("id,label,a,b\nc0,normal,1,2\n", ["clip_id,label"]),
+    ("clip_id,label,a,b\nc0,normal,1,abc\n", ["'c0'", "'b'", "'abc'"]),
+    ("clip_id,label,a,b\nc0,normal,1\n", ["'c0'", "'b'"]),
+    ("clip_id,label,a,b\nc0,normal,1,2,3\n", ["'c0'", "3 values"]),
+], ids=["empty", "header", "non_numeric", "short_row", "long_row"])
+def test_train_malformed_features_names_file(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["train", "--features", str(bad),
+                 "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    for fragment in named:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"kind": "linear_svm"}, ["linear_svm", "'weights'"]),
+    ({"kind": "mystery"}, ["'mystery'"]),
+    ("format_version 2", ["format_version 2"]),
+    ("not json", []),
+], ids=["missing_keys", "unknown_kind", "format_version", "not_json"])
+def test_evaluate_malformed_model_names_file(extracted, small_forest,
+                                            tmp_path, capsys, doc, named):
+    _, features = extracted
+    bad = tmp_path / "model.json"
+    if doc == "format_version 2":
+        doc = {**json.loads(small_forest.read_text()), "format_version": 2}
+    bad.write_text("{" if doc == "not json" else json.dumps(doc))
+    assert main(["evaluate", "--model", str(bad), "--test", str(features),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    for fragment in named:
+        assert fragment in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     import audioanom
     src = os.path.dirname(os.path.dirname(audioanom.__file__))
@@ -233,13 +275,14 @@ def test_pipeline_deterministic(tmp_path):
 
 
 def test_pipeline_matches_stepwise_commands(tmp_path):
-    # chaining the individual subcommands reproduces the pipeline reports
-    from audioanom.config import PipelineConfig
+    # the pipeline's pooled front end writes every artifact byte for byte as
+    # the serial, file-based subcommands do
     from audioanom.evaluate import stratified_split
     from audioanom.features import load_featureset, save_featureset
 
     # config echo lands in every report, so every stage must see the same
-    # overrides for byte-identical output
+    # overrides for byte-identical output. 8 clips give each worker more
+    # than one on up to 4 CPUs.
     flags = ["--n-trees", "5", "--svm-epochs", "5", "--n-per-class", "4",
              "--seed", "11"]
     out = tmp_path / "pipe"
@@ -262,8 +305,65 @@ def test_pipeline_matches_stepwise_commands(tmp_path):
         assert main(["evaluate", "--model", str(step / f"model_{name}.json"),
                      "--test", str(step / "test.csv"),
                      "--out", str(step / f"report_{name}.json")] + flags) == 0
-        assert (step / f"report_{name}.json").read_bytes() == \
-            (out / f"report_{name}.json").read_bytes()
+
+    def same_files(a, b, names):
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    corpus_files = sorted(os.listdir(step / "corpus"))
+    assert len(corpus_files) == 9 and "manifest.csv" in corpus_files
+    assert sorted(os.listdir(out / "corpus")) == corpus_files
+    same_files(out / "corpus", step / "corpus", corpus_files)
+    seg_wavs = sorted(os.listdir(out / "segments"))
+    assert sorted(os.listdir(step / "segments")) == seg_wavs + ["segments.csv"]
+    same_files(out / "segments", step / "segments", seg_wavs)
+    same_files(out, step, ["features.csv", "train.csv", "test.csv",
+                           *[f"{kind}_{name}.json"
+                             for kind in ("model", "report")
+                             for name in ("forest", "svm", "ensemble")]])
+
+    # the two segments.csv files sit in different directories, so their
+    # relative paths differ; the rows must not
+    def segment_rows(manifest, seg_dir):
+        return [(seg_id, os.path.relpath(path, seg_dir), label)
+                for seg_id, path, label in load_manifest(manifest)]
+
+    assert segment_rows(out / "segments.csv", out / "segments") == \
+        segment_rows(step / "segments" / "segments.csv", step / "segments")
+    assert len(seg_wavs) == len(load_manifest(out / "segments.csv"))
+
+
+def test_pipeline_worker_error_reaches_cli(tmp_path, monkeypatch, capsys):
+    # a fork child inherits the patched module, so one clip's worker fails
+    from audioanom import pipeline
+    from audioanom.errors import IoFailure
+
+    write_wav = pipeline.write_wav
+
+    def failing_write(buf, path):
+        if os.path.basename(path).startswith("clip_0005_"):
+            raise IoFailure(f"cannot write {path}: injected fault")
+        write_wav(buf, path)
+
+    def hung(signum, frame):
+        raise TimeoutError("pipeline did not return")
+
+    monkeypatch.setattr(pipeline, "write_wav", failing_write)
+    out = tmp_path / "p"
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code = main(["pipeline", "--out", str(out), "--n-per-class", "4",
+                     "--seed", "11", "--n-trees", "2", "--svm-epochs", "1"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    failed = out / "corpus" / "clip_0005_anomalous.wav"
+    assert f"error: cannot write {failed}: injected fault" in \
+        capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not (out / "features.csv").exists()
 
 
 def test_config_file_and_unknown_key(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 from audioanom.errors import ClassTooSmall, EmptyMatrix, LabelOutOfRange, LengthMismatch
 from audioanom.evaluate import (
     ConfusionMatrix,
-    confusion_to_csv,
     confusion_matrix,
     cross_validate,
     emit_report,
@@ -251,12 +250,3 @@ def test_report_four_decimal_formatting():
     doc = report_to_dict(report)
     assert doc["accuracy"] == "0.9680"
     assert report_from_dict(doc).accuracy == pytest.approx(0.968)
-
-
-def test_confusion_csv_export():
-    cm = confusion_matrix([0, 1, 1], [0, 1, 0], 2, ("normal", "anomalous"))
-    text = confusion_to_csv(cm)
-    lines = text.strip().split("\n")
-    assert lines[0] == "true\\predicted,normal,anomalous"
-    assert lines[1] == "normal,1,0"
-    assert lines[2] == "anomalous,1,1"

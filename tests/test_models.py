@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from audioanom.errors import (EmptyDataset, NonFiniteFeature, NotBinary,
-                              SchemaMismatch)
+from audioanom.errors import (EmptyDataset, MalformedModel, NonFiniteFeature,
+                              NotBinary, SchemaMismatch)
 from audioanom.features import FeatureSet, FeatureVector
 from audioanom.models import (
     EnsembleModel,
@@ -414,5 +414,5 @@ def test_model_format_is_versioned(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 1
     assert doc["kind"] == "random_forest"
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedModel):
         model_from_dict({"kind": "mystery"})
