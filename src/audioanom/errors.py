@@ -93,8 +93,9 @@ class SchemaMismatch(AudioAnomError):
 
 
 class MalformedModel(AudioAnomError):
-    """Model JSON that is not JSON, of an unknown kind or format version, or
-    missing a field its kind needs."""
+    """Model JSON that is not JSON, of an unknown kind or format version,
+    missing a field its kind needs, holding a tree node that is neither a
+    leaf nor a well-formed split, or an ensemble without positive weights."""
 
 
 # --- eval ---

@@ -9,8 +9,11 @@ Models persist to a single self-describing JSON document (format_version 1).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,10 +81,11 @@ def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int,
 
 
 class DecisionTree:
-    """CART classifier stored as a flat node array.
+    """CART classifier whose nodes are dicts in the model-JSON v1 format.
 
-    Internal nodes: {"feature", "threshold", "left", "right"};
-    leaves: {"proba": [...]} with probabilities summing to 1.
+    Internal nodes: {"feature", "threshold", "left", "right"}, children
+    having higher ids; leaves: {"proba": [...]} with probabilities summing
+    to 1. Prediction routes rows over the node arrays of a one-tree forest.
     """
 
     def __init__(self, nodes: list, n_classes: int, params: TreeParams,
@@ -93,20 +97,9 @@ class DecisionTree:
         self.importances = importances
 
     def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
-        """(n, n_classes) leaf probabilities; all rows descend together, each
-        split sending the row indices with x <= threshold to its left child."""
-        out = np.empty((len(X), self.n_classes))
-        pending = [(0, np.arange(len(X)))]
-        while pending:
-            node_id, rows = pending.pop()
-            node = self.nodes[node_id]
-            if "proba" in node:
-                out[rows] = node["proba"]
-            elif len(rows):
-                go_left = X[rows, node["feature"]] <= node["threshold"]
-                pending += [(node["left"], rows[go_left]),
-                            (node["right"], rows[~go_left])]
-        return out
+        """(n, n_classes) leaf probabilities of the rows of X."""
+        return _NodeArrays([self.nodes], self.n_classes,
+                           X.shape[1]).predict_proba_values(X)
 
     def to_dict(self) -> dict:
         return {
@@ -120,6 +113,124 @@ class DecisionTree:
     def from_dict(cls, d: dict) -> "DecisionTree":
         return cls(d["nodes"], d["n_classes"],
                    TreeParams(d["max_depth"], d["min_samples_leaf"]))
+
+
+# a JSON number beyond the largest float does not fit a float64
+_FLOAT_MAX = sys.float_info.max
+_SPLIT_KEYS = frozenset({"feature", "threshold", "left", "right"})
+_split_fields = operator.itemgetter("feature", "threshold", "left", "right")
+
+
+class _NodeArrays:
+    """The v1 nodes of one or more trees, checked and laid end to end as flat
+    arrays, and the kernel that routes rows down every tree at once.
+
+    A split node k holds feature[k] and threshold[k], and leaf[k] = -1; a row
+    moves on to node child[2k + (x <= threshold[k])], its right child at
+    even and its left child at odd entries. A leaf holds the row leaf[k] of
+    proba. roots[t] is the id of tree t's root.
+    """
+
+    def __init__(self, trees: list, n_classes: int, n_features: int):
+        """`trees` holds each tree's node list. MalformedModel names the tree
+        and node of a node that is neither a leaf of n_classes probabilities
+        summing to 1 nor a split on a feature in [0, n_features) at a finite
+        threshold whose children have higher ids in its tree; the latter
+        makes every route end at a leaf."""
+        if not trees:
+            raise MalformedModel("forest has no trees")
+        splits, split_at, proba, leaf_at, roots = [], [], [], [], []
+        k = 0  # id of the current tree's root
+        for t, nodes in enumerate(trees):
+            if not isinstance(nodes, list) or not nodes:
+                raise MalformedModel(f"tree {t} has no nodes")
+            roots.append(k)
+            for i, node in enumerate(nodes):
+                if type(node) is not dict:
+                    raise MalformedModel(f"tree {t} node {i} is not a JSON "
+                                         f"object")
+                if "proba" in node:
+                    p = node["proba"]
+                    if type(p) is not list or len(p) != n_classes:
+                        raise MalformedModel(f"tree {t} node {i} has proba "
+                                             f"{p!r}, not {n_classes} values")
+                    proba.append(p)
+                    leaf_at.append(k + i)
+                    continue
+                try:
+                    f, th, lo, hi = _split_fields(node)
+                except KeyError:
+                    raise MalformedModel(
+                        f"tree {t} node {i} has no 'proba' and lacks "
+                        f"{sorted(_SPLIT_KEYS - node.keys())}") from None
+                if not (type(f) is int and 0 <= f < n_features
+                        and type(th) in (int, float)
+                        and -_FLOAT_MAX <= th <= _FLOAT_MAX
+                        and type(lo) is int and i < lo < len(nodes)
+                        and type(hi) is int and i < hi < len(nodes)):
+                    raise MalformedModel(
+                        f"tree {t} node {i} splits on feature {f!r} at "
+                        f"{th!r} into children {lo!r} and {hi!r}; it needs a "
+                        f"feature in [0, {n_features}), a finite threshold "
+                        f"and children in ({i}, {len(nodes)})")
+                splits.append((f, th, k + hi, k + lo))
+                split_at.append(k + i)
+            k += len(nodes)
+        self.roots = np.array(roots, dtype=np.intp)
+
+        values = list(itertools.chain.from_iterable(proba))
+        if not set(map(type, values)) <= {float}:
+            values = [v if type(v) in (int, float) and 0 <= v <= 1
+                      else math.nan for v in values]
+        self.proba = np.array(values, dtype=np.float64).reshape(-1, n_classes)
+        ok = (((self.proba >= 0) & (self.proba <= 1)).all(axis=1)
+              & (np.abs(self.proba.sum(axis=1) - 1.0) <= 1e-9))
+        if not ok.all():
+            bad = leaf_at[int(np.argmin(ok))]
+            t = int(np.searchsorted(self.roots, bad, side="right")) - 1
+            i = bad - roots[t]
+            raise MalformedModel(f"tree {t} node {i} has proba "
+                                 f"{trees[t][i]['proba']!r}, not "
+                                 f"probabilities summing to 1")
+
+        self.leaf = np.full(k, -1, dtype=np.intp)
+        self.leaf[leaf_at] = np.arange(len(leaf_at))
+        self.feature = np.zeros(k, dtype=np.intp)
+        self.threshold = np.zeros(k)
+        child = np.full((k, 2), -1, dtype=np.intp)
+        if splits:
+            feature, threshold, right, left = zip(*splits)
+            self.feature[split_at] = feature
+            self.threshold[split_at] = threshold
+            child[split_at] = np.array([right, left]).T
+        self.child = child.ravel()
+
+    def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
+        """Mean over the trees of the (n, n_classes) leaf probabilities of
+        the rows of X, a row going left when x <= threshold.
+
+        Every (tree, row) pair descends together: pair p is row p % n of
+        tree p // n, and each level moves only the pairs not yet at a leaf.
+        The trees' matrices are summed in tree order.
+        """
+        n, n_features = X.shape
+        values = np.ascontiguousarray(X).ravel()
+        n_trees = len(self.roots)
+        node = np.repeat(self.roots, n)
+        row_start = np.tile(np.arange(0, n * n_features, n_features), n_trees)
+        # take and compress gather faster than fancy indexing
+        todo = np.flatnonzero(self.leaf.take(node) < 0)
+        while len(todo):
+            at = node.take(todo)
+            x = values.take(row_start.take(todo) + self.feature.take(at))
+            go_left = x <= self.threshold.take(at)
+            at = self.child.take(2 * at + go_left)
+            node[todo] = at
+            todo = todo.compress(self.leaf.take(at) < 0)
+        P = self.proba.take(self.leaf.take(node), axis=0)
+        # a sum over the outer axis adds the trees' matrices one by one
+        return (P.reshape(n_trees, n, self.proba.shape[1]).sum(axis=0)
+                / n_trees)
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
@@ -186,11 +297,13 @@ class RandomForest:
         self.mtry = mtry
         self.seed = seed
         self.importances = importances
+        self._nodes = _NodeArrays([t.nodes for t in trees],
+                                  len(self.class_names),
+                                  len(self.feature_names))
 
     def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
         """Mean of the trees' (n, n_classes) matrices, summed in tree order."""
-        total = sum(t.predict_proba_values(X) for t in self.trees)
-        return total / len(self.trees)
+        return self._nodes.predict_proba_values(X)
 
     def to_dict(self) -> dict:
         return {
@@ -440,7 +553,8 @@ def _require_keys(d, keys, what: str) -> None:
 
 def model_from_dict(d: dict):
     """The model of a v1 document, after checking its kind, its
-    format_version and the keys its kind needs."""
+    format_version, the keys its kind needs, a forest's nodes and an
+    ensemble's weights."""
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in _MODEL_KEYS:
         raise MalformedModel(f"unknown model kind {kind!r}")
@@ -457,6 +571,13 @@ def model_from_dict(d: dict):
         return LinearSvm.from_dict(d)
     for i, member in enumerate(d["members"]):
         _require_keys(member, _MEMBER_KEYS, f"ensemble member {i}")
+    if not d["members"]:
+        raise MalformedModel("ensemble model has no members")
+    weights = [member["weight"] for member in d["members"]]
+    if (not all(type(w) in (int, float) and 0 <= w <= _FLOAT_MAX
+                for w in weights) or sum(weights) <= 0):
+        raise MalformedModel(f"ensemble member weights {weights} are not "
+                             f"non-negative numbers with a positive sum")
     return EnsembleModel.from_dict(d)
 
 

@@ -145,3 +145,13 @@ def loop_spectral_subtract(x, noise_magnitude, alpha, beta, n_fft):
         for j in range(n_fft):
             acc[i * hop + j] += resynth[j]
     return acc[hop:hop + len(x)]
+
+
+def walk_tree_nodes(nodes, x):
+    """Leaf probabilities of row x from a row-by-row walk of a tree's
+    model-JSON nodes, going left when x <= threshold."""
+    node = nodes[0]
+    while "proba" not in node:
+        go_left = x[node["feature"]] <= node["threshold"]
+        node = nodes[node["left"] if go_left else node["right"]]
+    return np.asarray(node["proba"])

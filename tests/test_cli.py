@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import json
@@ -251,6 +252,78 @@ def test_evaluate_malformed_model_names_file(extracted, small_forest,
     assert not (tmp_path / "r.json").exists()
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a call that runs longer than `seconds` instead of hanging; the
+    error is no OSError, which `main` would map to exit 1."""
+    def hung(signum, frame):
+        raise RuntimeError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+SPLIT = {"feature": 0, "threshold": 0.0, "left": 1, "right": 2}
+LEAF_A, LEAF_B = {"proba": [1.0, 0.0]}, {"proba": [0.0, 1.0]}
+
+
+def _tree_1(*nodes):
+    def mutate(forest):
+        forest["trees"][1]["nodes"] = list(nodes)
+        return forest
+    return mutate
+
+
+def _ensemble(*weights):
+    def mutate(forest):
+        return {"format_version": 1, "kind": "ensemble",
+                "feature_names": forest["feature_names"],
+                "class_names": forest["class_names"],
+                "members": [{"weight": w, "model": forest} for w in weights]}
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (_tree_1({"feature": 0, "left": 1, "right": 2}, LEAF_A, LEAF_B),
+     ["tree 1 node 0", "'threshold'"]),
+    (_tree_1({**SPLIT, "feature": 30}, LEAF_A, LEAF_B),
+     ["tree 1 node 0", "feature 30 at 0.0", "in [0, 30)"]),
+    (_tree_1({**SPLIT, "left": 0}, LEAF_A, LEAF_B),
+     ["tree 1 node 0", "children 0 and 2", "in (0, 3)"]),
+    (_tree_1({**SPLIT, "right": 0}, LEAF_A, LEAF_B),
+     ["tree 1 node 0", "children 1 and 0", "in (0, 3)"]),
+    (_tree_1({**SPLIT, "right": 3}, LEAF_A, LEAF_B),
+     ["tree 1 node 0", "children 1 and 3", "in (0, 3)"]),
+    (_tree_1(SPLIT, LEAF_A, {"proba": [0.5, 0.25, 0.25]}),
+     ["tree 1 node 2", "[0.5, 0.25, 0.25], not 2 values"]),
+    (_tree_1(SPLIT, LEAF_A, {"proba": [0.5, 0.4]}),
+     ["tree 1 node 2", "[0.5, 0.4], not probabilities summing to 1"]),
+    (_ensemble(), ["no members"]),
+    (_ensemble(0.0, 0.0), ["weights [0.0, 0.0]"]),
+], ids=["node_keys", "feature_range", "left_cycle", "right_cycle",
+        "child_range", "leaf_length", "leaf_sum", "no_members",
+        "zero_weights"])
+def test_evaluate_malformed_model_structure_names_file(
+        extracted, small_forest, tmp_path, capsys, mutate, named):
+    _, features = extracted
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(mutate(json.loads(small_forest.read_text()))))
+    with _deadline(30):
+        code = main(["evaluate", "--model", str(bad), "--test", str(features),
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    for fragment in named:
+        assert fragment in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     import audioanom
     src = os.path.dirname(os.path.dirname(audioanom.__file__))
@@ -345,19 +418,11 @@ def test_pipeline_worker_error_reaches_cli(tmp_path, monkeypatch, capsys):
             raise IoFailure(f"cannot write {path}: injected fault")
         write_wav(buf, path)
 
-    def hung(signum, frame):
-        raise TimeoutError("pipeline did not return")
-
     monkeypatch.setattr(pipeline, "write_wav", failing_write)
     out = tmp_path / "p"
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
+    with _deadline(60):
         code = main(["pipeline", "--out", str(out), "--n-per-class", "4",
                      "--seed", "11", "--n-trees", "2", "--svm-epochs", "1"])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 1
     failed = out / "corpus" / "clip_0005_anomalous.wav"
     assert f"error: cannot write {failed}: injected fault" in \

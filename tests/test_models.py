@@ -1,12 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audioanom.errors import (EmptyDataset, MalformedModel, NonFiniteFeature,
                               NotBinary, SchemaMismatch)
 from audioanom.features import FeatureSet, FeatureVector
 from audioanom.models import (
+    DecisionTree,
     EnsembleModel,
     LinearSvm,
+    RandomForest,
     TreeParams,
     feature_importance,
     model_from_dict,
@@ -18,6 +24,7 @@ from audioanom.models import (
     train_svm,
     train_tree,
 )
+from oracles import walk_tree_nodes
 
 
 def make_set(X, labels, class_names=("A", "B"), feature_names=None):
@@ -280,7 +287,6 @@ def test_forest_three_of_four_trees():
     trees = []
     for label in ["B", "B", "B", "A"]:
         trees.append(train_tree(make_set([[0.0]], [label])))
-    from audioanom.models import RandomForest
     forest = RandomForest(trees, ("f0",), ("A", "B"), 1, 0, np.zeros(1))
     np.testing.assert_allclose(forest.predict_proba_values(np.array([[0.0]])),
                                [[0.25, 0.75]])
@@ -316,15 +322,6 @@ def test_soft_vote_weighted_average():
     assert np.argmax(predict_proba(tie, x)) == 0
 
 
-def _walk_nodes(nodes, x):
-    """Reference row-by-row walk of a tree's model-JSON nodes."""
-    node = nodes[0]
-    while "proba" not in node:
-        go_left = x[node["feature"]] <= node["threshold"]
-        node = nodes[node["left"] if go_left else node["right"]]
-    return np.asarray(node["proba"])
-
-
 def test_forest_matrix_matches_row_walk_of_json_nodes():
     rng = np.random.default_rng(40)
     X = rng.normal(size=(60, 4))
@@ -342,10 +339,72 @@ def test_forest_matrix_matches_row_walk_of_json_nodes():
                 on_threshold.append(row)
     X_test = np.vstack([X, rng.normal(size=(40, 4)), on_threshold])
     expected = np.array([
-        sum(_walk_nodes(t["nodes"], x) for t in trees) / len(trees)
+        sum(walk_tree_nodes(t["nodes"], x) for t in trees) / len(trees)
         for x in X_test])
     np.testing.assert_array_equal(forest.predict_proba_values(X_test),
                                   expected)
+
+
+# thresholds and features share a few values, so many rows tie a threshold
+GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def random_forests(draw):
+    """(forest, X): 1-6 trees of depth 0-4 over 1-3 features and 2-3
+    classes, and 0-30 rows, every value and threshold drawn from GRID."""
+    n_features = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(2, 3))
+
+    def grow(nodes, depth):
+        node_id = len(nodes)
+        nodes.append(None)  # reserve slot so children get higher ids
+        if depth == 0 or draw(st.booleans()):
+            counts = np.array(draw(st.lists(st.integers(0, 3),
+                                            min_size=n_classes,
+                                            max_size=n_classes)), float)
+            counts[draw(st.integers(0, n_classes - 1))] += 1
+            nodes[node_id] = {"proba": (counts / counts.sum()).tolist()}
+            return node_id
+        split = {"feature": draw(st.integers(0, n_features - 1)),
+                 "threshold": draw(st.sampled_from(GRID))}
+        split["left"] = grow(nodes, depth - 1)
+        split["right"] = grow(nodes, depth - 1)
+        nodes[node_id] = split
+        return node_id
+
+    trees = []
+    for _ in range(draw(st.integers(1, 6))):
+        nodes = []
+        grow(nodes, draw(st.integers(0, 4)))
+        trees.append(DecisionTree(nodes, n_classes, TreeParams()))
+    forest = RandomForest(trees, tuple(f"f{i}" for i in range(n_features)),
+                          tuple("ABC"[:n_classes]), 1, 0,
+                          np.zeros(n_features))
+    n_rows = draw(st.sampled_from([0, 1, draw(st.integers(2, 30))]))
+    X = np.array(draw(st.lists(st.sampled_from(GRID),
+                               min_size=n_rows * n_features,
+                               max_size=n_rows * n_features)),
+                 float).reshape(n_rows, n_features)
+    return forest, X
+
+
+@settings(deadline=None)
+@given(random_forests())
+def test_forest_kernel_matches_row_walk_and_json_round_trip(case):
+    forest, X = case
+    trees = [t.nodes for t in forest.trees]
+    expected = np.array([sum(walk_tree_nodes(nodes, x) for nodes in trees)
+                         / len(trees) for x in X])
+    P = forest.predict_proba_values(X)
+    assert P.shape == (len(X), len(forest.class_names))
+    np.testing.assert_array_equal(P, expected.reshape(P.shape))
+    back = model_from_dict(json.loads(json.dumps(forest.to_dict())))
+    np.testing.assert_array_equal(back.predict_proba_values(X), P)
+    for tree, nodes in zip(forest.trees, trees):
+        np.testing.assert_array_equal(
+            tree.predict_proba_values(X),
+            np.array([walk_tree_nodes(nodes, x) for x in X]).reshape(P.shape))
 
 
 def test_vector_prediction_matches_featureset_row():
@@ -410,7 +469,6 @@ def test_model_format_is_versioned(tmp_path):
     forest = train_forest(data, n_trees=1, mtry=1, seed=0)
     path = tmp_path / "f.json"
     save_model(forest, path)
-    import json
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 1
     assert doc["kind"] == "random_forest"
