@@ -145,65 +145,59 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                            type=caster, default=None, metavar="V")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (function, help line, its own flags); each own flag is required
+COMMANDS = {
+    "synth": (cmd_synth, "generate the synthetic corpus", ("--out",)),
+    "preprocess": (cmd_preprocess, "denoise, normalize, segment",
+                   ("--manifest", "--out")),
+    "extract": (cmd_extract, "extract clip features to CSV",
+                ("--manifest", "--out")),
+    "train": (cmd_train, "train forest, SVM, and ensemble",
+              ("--features", "--out")),
+    "evaluate": (cmd_evaluate, "evaluate a model on a feature CSV",
+                 ("--model", "--test", "--out")),
+    "pipeline": (cmd_pipeline, "run the whole chain end to end", ("--out",)),
+    "render": (cmd_render, "emit waveform/spectrum CSV or spectrogram PGM",
+               ("--clip", "--kind", "--out")),
+}
+RENDER_KINDS = ("waveform", "spectrogram", "spectrum")
+
+
+def _command_parser() -> argparse.ArgumentParser:
+    """Reads only the command name, so that a call builds no flags of the
+    commands it does not run."""
+    listing = "\n".join(f"  {name:<11} {help_line}"
+                        for name, (_, help_line, _) in COMMANDS.items())
     parser = argparse.ArgumentParser(
-        prog="audioanom",
+        prog="audioanom", usage="audioanom <command> [flags]",
         description="Audio anomaly detection pipeline: synthesize, "
-                    "preprocess, featurize, train, evaluate, render.")
-    sub = parser.add_subparsers(dest="command", required=True)
+                    "preprocess, featurize, train, evaluate, render.",
+        epilog=f"commands:\n{listing}\n\n"
+               "'audioanom <command> --help' lists a command's flags.",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=COMMANDS, metavar="<command>",
+                        help="one of the commands below")
+    return parser
 
-    p = sub.add_parser("synth", help="generate the synthetic corpus")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="denoise, normalize, segment")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("extract", help="extract clip features to CSV")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train", help="train forest, SVM, and ensemble")
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a model on a feature CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("pipeline", help="run the whole chain end to end")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("render", help="emit waveform/spectrum CSV or "
-                                      "spectrogram PGM")
-    p.add_argument("--clip", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=["waveform", "spectrogram", "spectrum"])
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_render)
-
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command: its own flags and the config flags."""
+    _, help_line, flags = COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"audioanom {command}",
+                                     description=help_line)
+    for flag in flags:
+        parser.add_argument(flag, required=True,
+                            choices=RENDER_KINDS if flag == "--kind" else None)
+    _add_config_flags(parser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _command_parser().parse_args(argv[:1]).command
+    args = build_parser(command).parse_args(argv[1:])
     try:
-        return args.func(args)
+        return COMMANDS[command][0](args)
     except (ConfigError, SchemaMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,13 @@ class ConfigError(AudioAnomError):
     """Invalid parameter or configuration value."""
 
 
+# --- synthgen ---
+
+class MalformedManifest(AudioAnomError):
+    """Manifest CSV that is empty, has a bad header or a row that is not
+    clip_id,path,label."""
+
+
 # --- audio_io ---
 
 class MalformedContainer(AudioAnomError):

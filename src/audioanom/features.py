@@ -280,8 +280,7 @@ def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
         raise MalformedFeatureFile(f"{source}: header must start with "
                                    f"clip_id,label, got {header[:2]}")
     names = tuple(header[2:])
-    vectors = []
-    seen_labels = []
+    rows = []
     for row in reader:
         if not row:
             continue
@@ -293,23 +292,27 @@ def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
             raise MalformedFeatureFile(
                 f"{source}: clip {clip_id!r} has {len(row) - 2} values for "
                 f"{len(names)} feature columns")
-        label = row[1] or None
-        try:
-            values = np.array([float(x) for x in row[2:]], dtype=np.float64)
-        except ValueError:
-            for x, name in zip(row[2:], names):
-                try:
-                    float(x)
-                except ValueError:
-                    raise MalformedFeatureFile(
-                        f"{source}: clip {clip_id!r}: {x!r} in column "
-                        f"{name!r} is not a number") from None
-        vectors.append(FeatureVector(names, values, clip_id=clip_id, label=label))
-        if label is not None and label not in seen_labels:
-            seen_labels.append(label)
-    fs = FeatureSet(vectors, names, tuple(sorted(seen_labels)))
-    require_finite(fs.matrix(), vectors)
-    return fs
+        rows.append(row)
+    try:
+        # numpy converts each string with Python's float
+        X = np.array([row[2:] for row in rows], dtype=np.float64)
+    except ValueError:
+        X = np.array([[_feature_value(x, row[0], name, source)
+                       for x, name in zip(row[2:], names)] for row in rows])
+    X = X.reshape(len(rows), len(names))
+    vectors = [FeatureVector(names, x, clip_id=row[0], label=row[1] or None)
+               for row, x in zip(rows, X)]
+    require_finite(X, vectors)
+    labels = {v.label for v in vectors} - {None}
+    return FeatureSet(vectors, names, tuple(sorted(labels)))
+
+
+def _feature_value(x: str, clip_id: str, name: str, source: str) -> float:
+    try:
+        return float(x)
+    except ValueError:
+        raise MalformedFeatureFile(f"{source}: clip {clip_id!r}: {x!r} in "
+                                   f"column {name!r} is not a number") from None
 
 
 def save_featureset(fs: FeatureSet, path) -> None:

@@ -500,8 +500,12 @@ class EnsembleModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleModel":
-        members = [(model_from_dict(m["model"]), m["weight"])
-                   for m in d["members"]]
+        members = []
+        for i, m in enumerate(d["members"]):
+            try:
+                members.append((model_from_dict(m["model"]), m["weight"]))
+            except MalformedModel as exc:
+                raise MalformedModel(f"ensemble member {i}: {exc}") from exc
         return cls(members, tuple(d["class_names"]), tuple(d["feature_names"]))
 
 

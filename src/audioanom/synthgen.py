@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, write_wav
+from .errors import MalformedManifest
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,25 @@ def write_manifest(rows, path) -> None:
 
 
 def load_manifest(path) -> list:
-    """Read a manifest CSV; relative paths resolve against its directory."""
+    """Read a manifest CSV; relative paths resolve against its directory.
+    MalformedManifest names the file and the line or clip of a fault."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedManifest(f"{path}: empty file, no header")
         if header != ["clip_id", "path", "label"]:
-            raise ValueError(f"unexpected manifest header {header}")
-        return [(clip_id, os.path.join(base, file_path), label)
-                for clip_id, file_path, label in (row for row in reader if row)]
+            raise MalformedManifest(f"{path}: header must be "
+                                    f"clip_id,path,label, got {header}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise MalformedManifest(
+                    f"{path}: line {reader.line_num}: clip {row[0]!r} has "
+                    f"{len(row)} fields, not clip_id,path,label")
+            clip_id, file_path, label = row
+            rows.append((clip_id, os.path.join(base, file_path), label))
+        return rows

@@ -155,3 +155,19 @@ def walk_tree_nodes(nodes, x):
         go_left = x[node["feature"]] <= node["threshold"]
         node = nodes[node["left"] if go_left else node["right"]]
     return np.asarray(node["proba"])
+
+
+def float_cells(rows, n_cols):
+    """Cells of a table of strings, each by Python's float in row order: the
+    (len(rows), n_cols) float64 matrix and None, or None and the (row,
+    column) of the first cell that float rejects."""
+    values = []
+    for i, row in enumerate(rows):
+        parsed = []
+        for j, cell in enumerate(row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                return None, (i, j)
+        values.append(parsed)
+    return np.array(values, dtype=np.float64).reshape(len(rows), n_cols), None

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import contextlib
+import copy
 import csv
 import dataclasses
 import json
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from audioanom.audio_io import AudioBuffer, write_wav
-from audioanom.cli import CONFIG_ENV, main
+from audioanom.cli import COMMANDS, CONFIG_ENV, build_parser, main
 from audioanom.config import PipelineConfig
 from audioanom.synthgen import load_manifest
 
@@ -86,6 +88,23 @@ def test_preprocess_zero_sample_rate_is_bad_input(tmp_path, capsys):
     assert main(["preprocess", "--manifest", str(manifest),
                  "--out", str(tmp_path / "s")]) == 1
     assert "zero_rate.wav" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", ["empty"]),
+    ("a,b\n", ["clip_id,path,label", "['a', 'b']"]),
+    ("clip_id,path,label\nc0,x.wav\n", ["line 2", "'c0'", "2 fields"]),
+], ids=["empty", "header", "short_row"])
+def test_extract_malformed_manifest_names_file(tmp_path, capsys, text, named):
+    bad = tmp_path / "manifest.csv"
+    bad.write_text(text)
+    assert main(["extract", "--manifest", str(bad),
+                 "--out", str(tmp_path / "f.csv")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    for fragment in named:
+        assert fragment in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_preprocess_rerun_byte_identical(corpus, tmp_path):
@@ -288,6 +307,14 @@ def _ensemble(*weights):
     return mutate
 
 
+def _in_ensemble_member_1(mutate):
+    def wrap(forest):
+        doc = _ensemble(1.0, 1.0)(copy.deepcopy(forest))
+        doc["members"][1]["model"] = mutate(forest)
+        return doc
+    return wrap
+
+
 @pytest.mark.parametrize("mutate, named", [
     (_tree_1({"feature": 0, "left": 1, "right": 2}, LEAF_A, LEAF_B),
      ["tree 1 node 0", "'threshold'"]),
@@ -305,9 +332,11 @@ def _ensemble(*weights):
      ["tree 1 node 2", "[0.5, 0.4], not probabilities summing to 1"]),
     (_ensemble(), ["no members"]),
     (_ensemble(0.0, 0.0), ["weights [0.0, 0.0]"]),
+    (_in_ensemble_member_1(_tree_1({**SPLIT, "left": 0}, LEAF_A, LEAF_B)),
+     ["ensemble member 1: tree 1 node 0", "children 0 and 2"]),
 ], ids=["node_keys", "feature_range", "left_cycle", "right_cycle",
         "child_range", "leaf_length", "leaf_sum", "no_members",
-        "zero_weights"])
+        "zero_weights", "ensemble_member"])
 def test_evaluate_malformed_model_structure_names_file(
         extracted, small_forest, tmp_path, capsys, mutate, named):
     _, features = extracted
@@ -322,6 +351,72 @@ def test_evaluate_malformed_model_structure_names_file(
     for fragment in named:
         assert fragment in err
     assert not (tmp_path / "r.json").exists()
+
+
+CONFIG_FIELDS = [f for f in dataclasses.fields(PipelineConfig)
+                 if f.name != "version"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_takes_every_config_flag(command):
+    own = [arg for flag in COMMANDS[command][2]
+           for arg in (flag, "spectrum" if flag == "--kind" else "x")]
+    defaults = PipelineConfig()
+    for f in CONFIG_FIELDS:
+        value = getattr(defaults, f.name)
+        own += [f"--{f.name.replace('_', '-')}",
+                "7" if value is None else str(value)]
+    args = build_parser(command).parse_args(own)
+    assert [f.name for f in CONFIG_FIELDS
+            if getattr(args, f"cfg_{f.name}") is None] == []
+
+
+def test_help_lists_commands_and_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("synth", "preprocess", "extract", "train", "evaluate",
+                    "pipeline", "render"):
+        assert f"  {command} " in out
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--model", "--test", "--out", "--config", "config overrides",
+                 "--n-trees", "--svm-lambda"):
+        assert flag in out
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["mystery"], ["--n-trees", "3"], ["evaluate", "--model", "m.json"],
+    ["render", "--clip", "c.wav", "--kind", "photo", "--out", "o"],
+], ids=["no_command", "unknown_command", "flag_first", "missing_flag",
+        "bad_choice"])
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: audioanom" in capsys.readouterr().err
+
+
+def test_evaluate_builds_only_its_own_flags(extracted, small_forest,
+                                            tmp_path, monkeypatch):
+    # every parser and argument group adds flags through this one method
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    _, features = extracted
+    assert main(["evaluate", "--model", str(small_forest), "--test",
+                 str(features), "--out", str(tmp_path / "r.json")]) == 0
+    # two --help, the command name, --config, evaluate's own flags and one
+    # flag per config field
+    assert len(calls) <= 4 + len(COMMANDS["evaluate"][2]) + len(CONFIG_FIELDS)
 
 
 def test_cli_import_leaves_scipy_unloaded():
