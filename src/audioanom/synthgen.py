@@ -23,6 +23,15 @@ from .audio_io import AudioBuffer, write_wav
 from .errors import MalformedManifest
 
 
+F0_MIN_HZ = 110.0
+F0_MAX_HZ = 220.0
+N_HARMONICS = 3
+WOBBLE_MIN_HZ = 2.0
+WOBBLE_MAX_HZ = 6.0
+WOBBLE_DEPTH = 0.5
+LEAD_SILENCE_S = 0.3   # noise-only lead for noise profiling
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     n_per_class: int = 100
@@ -30,14 +39,7 @@ class CorpusSpec:
     sample_rate: int = 16000
     clip_s: float = 2.0
     snr_db: float = 20.0          # normal-class SNR; anomalous gets 6 dB less
-    f0_min: float = 110.0
-    f0_max: float = 220.0
-    n_harmonics: int = 3
     jitter_sigma_hz: float = 0.3  # per-sample random-walk step on f0
-    wobble_min_hz: float = 2.0
-    wobble_max_hz: float = 6.0
-    wobble_depth: float = 0.5
-    lead_silence_s: float = 0.3   # noise-only lead for noise profiling
 
     def __post_init__(self):
         if self.n_per_class < 1:
@@ -57,30 +59,30 @@ def _synthesize(spec: CorpusSpec, label: str,
                 rng: np.random.Generator) -> AudioBuffer:
     sr = spec.sample_rate
     n = int(round(spec.clip_s * sr))
-    n_lead = int(round(spec.lead_silence_s * sr))
+    n_lead = int(round(LEAD_SILENCE_S * sr))
     t_len = n - n_lead
 
-    f0_start = rng.uniform(spec.f0_min, spec.f0_max)
+    f0_start = rng.uniform(F0_MIN_HZ, F0_MAX_HZ)
     if label == "anomalous":
         walk = np.cumsum(rng.normal(0.0, spec.jitter_sigma_hz, size=t_len))
-        f0 = _reflect(f0_start + walk, spec.f0_min, spec.f0_max)
+        f0 = _reflect(f0_start + walk, F0_MIN_HZ, F0_MAX_HZ)
     else:
         f0 = np.full(t_len, f0_start)
 
     phase0 = rng.uniform(0.0, 2.0 * np.pi)
     phase = phase0 + 2.0 * np.pi * np.cumsum(f0) / sr
     tone = np.zeros(t_len)
-    for h in range(1, spec.n_harmonics + 1):
+    for h in range(1, N_HARMONICS + 1):
         amp = 0.6 ** (h - 1)
         if label == "anomalous":
             amp /= h  # extra -6 dB/octave tilt
         tone += amp * np.sin(h * phase)
 
     if label == "anomalous":
-        wobble_hz = rng.uniform(spec.wobble_min_hz, spec.wobble_max_hz)
+        wobble_hz = rng.uniform(WOBBLE_MIN_HZ, WOBBLE_MAX_HZ)
         wobble_phase = rng.uniform(0.0, 2.0 * np.pi)
         t = np.arange(t_len) / sr
-        tone *= 1.0 + spec.wobble_depth * np.sin(
+        tone *= 1.0 + WOBBLE_DEPTH * np.sin(
             2.0 * np.pi * wobble_hz * t + wobble_phase)
 
     tone_rms = np.sqrt(np.mean(tone ** 2))
