@@ -4,7 +4,7 @@ classical classifiers with soft-voting ensemble, and an evaluation harness.
 
 from .audio_io import AudioBuffer, read_wav, resample_linear, write_wav
 from .config import PipelineConfig
-from .features import FeatureSet, FeatureVector, MfccConfig
+from .features import FeatureSet, FeatureVector
 
 __version__ = "0.1.0"
 
@@ -12,7 +12,6 @@ __all__ = [
     "AudioBuffer",
     "FeatureSet",
     "FeatureVector",
-    "MfccConfig",
     "PipelineConfig",
     "read_wav",
     "resample_linear",

@@ -1,15 +1,14 @@
 """Command-line interface.
 
 Subcommands: synth, preprocess, extract, train, evaluate, pipeline, render.
-Exit codes are uniform: 0 success, 1 runtime error (I/O, bad files),
-2 configuration error (bad flags/config values). AUDIOANOM_CONFIG names a
+Exit codes follow the error's class alone: 0 success, 1 AudioAnomError or
+OSError, 2 ConfigError or usage error. AUDIOANOM_CONFIG names a
 default config file, --config replaces it, and flags override file values.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -17,9 +16,9 @@ import numpy as np
 
 from . import pipeline as pl
 from .audio_io import read_wav, resample_linear
-from .config import PipelineConfig, read_config_file
+from .config import FIELD_TYPES, PipelineConfig, read_config_file
 from .dsp import SCALE_POWER, frame_signal, power_spectrogram
-from .errors import AudioAnomError, ConfigError, SchemaMismatch
+from .errors import AudioAnomError, ConfigError
 from .evaluate import emit_report
 from .features import load_featureset, save_featureset
 from .models import load_model, save_model
@@ -34,10 +33,10 @@ SPECTROGRAM_DB_MAX = 0.0
 def _load_config(args) -> PipelineConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
     values = read_config_file(path) if path else {}
-    for f in dataclasses.fields(PipelineConfig):
-        value = getattr(args, f"cfg_{f.name}", None)
+    for name in FIELD_TYPES:
+        value = getattr(args, f"cfg_{name}", None)
         if value is not None:
-            values[f.name] = value
+            values[name] = value
     return PipelineConfig.from_dict(values)
 
 
@@ -136,13 +135,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON config file "
                         f"(default: ${CONFIG_ENV})")
     group = parser.add_argument_group("config overrides")
-    for f in dataclasses.fields(PipelineConfig):
-        if f.name == "version":
-            continue
-        ftype = f.type.replace("Optional[", "").rstrip("]")
-        caster = {"int": int, "float": float, "str": str}.get(ftype, str)
-        group.add_argument(f"--{f.name.replace('_', '-')}", dest=f"cfg_{f.name}",
-                           type=caster, default=None, metavar="V")
+    for name, (kind, _) in FIELD_TYPES.items():
+        if name != "version":
+            group.add_argument(f"--{name.replace('_', '-')}",
+                               dest=f"cfg_{name}", type=kind, default=None,
+                               metavar="V")
 
 
 # command -> (function, help line, its own flags); each own flag is required
@@ -198,7 +195,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv[1:])
     try:
         return COMMANDS[command][0](args)
-    except (ConfigError, SchemaMismatch, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AudioAnomError, OSError) as exc:

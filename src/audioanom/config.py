@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
+from .synthgen import LEAD_SILENCE_S
 
 CONFIG_FORMAT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)   # a cache key of features._mel_bank
 class PipelineConfig:
     version: int = CONFIG_FORMAT_VERSION
 
@@ -65,6 +67,19 @@ class PipelineConfig:
     jitter_sigma_hz: float = 0.3
 
     def validate(self) -> "PipelineConfig":
+        for key, (kind, optional) in FIELD_TYPES.items():
+            value = getattr(self, key)
+            # a number must fit a float, as the stages compute in floats;
+            # bool is an int subclass, and comparisons take ints of any size
+            if not (value is None and optional
+                    or kind is str and isinstance(value, str)
+                    or kind is not str and type(value) is not bool
+                    and isinstance(value, (int, kind))
+                    and -_FLOAT_MAX <= value <= _FLOAT_MAX):
+                wanted = _TYPE_NAMES[kind] + (" or null" if optional else "")
+                raise ConfigError(f"config key {key!r}: {value!r} is not "
+                                  f"{wanted}")
+        fmax = self.fmax if self.fmax is not None else self.sample_rate / 2
         checks = [
             (self.version == CONFIG_FORMAT_VERSION,
              f"version must be {CONFIG_FORMAT_VERSION}"),
@@ -80,12 +95,14 @@ class PipelineConfig:
             (self.normalize_mode in ("peak", "rms"),
              "normalize_mode must be peak or rms"),
             (self.normalize_target > 0, "normalize_target must be positive"),
-            (self.seg_len_s > 0, "seg_len_s must be positive"),
+            (self.seg_len_s * self.sample_rate >= self.frame_len,
+             "seg_len_s must hold at least frame_len samples"),
             (self.pad_policy in ("zero-pad-last", "drop-last"),
              "pad_policy must be zero-pad-last or drop-last"),
             (1 <= self.n_coeffs <= self.n_mels,
              "need 1 <= n_coeffs <= n_mels"),
-            (self.fmin >= 0, "fmin must be >= 0"),
+            (0 <= self.fmin < fmax <= self.sample_rate / 2,
+             f"need 0 <= fmin < fmax <= Nyquist, got [{self.fmin}, {fmax}]"),
             (0 <= self.pre_emphasis < 1, "pre_emphasis must be in [0, 1)"),
             (self.n_trees >= 1, "n_trees must be >= 1"),
             (self.mtry is None or self.mtry >= 1, "mtry must be >= 1"),
@@ -95,11 +112,15 @@ class PipelineConfig:
             (self.svm_lambda > 0, "svm_lambda must be positive"),
             (self.svm_epochs >= 0, "svm_epochs must be >= 0"),
             (self.forest_weight >= 0 and self.svm_weight >= 0
-             and self.forest_weight + self.svm_weight > 0,
-             "ensemble weights must be non-negative and not all zero"),
+             and 0 < self.forest_weight + self.svm_weight <= _FLOAT_MAX,
+             "ensemble weights must be non-negative with a positive, "
+             "finite sum"),
             (0 < self.test_frac < 1, "test_frac must be in (0, 1)"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.n_per_class >= 1, "n_per_class must be >= 1"),
-            (self.clip_s > 0, "clip_s must be positive"),
+            (self.clip_s * self.sample_rate
+             >= round(LEAD_SILENCE_S * self.sample_rate) + 1,
+             f"clip_s must exceed the {LEAD_SILENCE_S} s noise-only lead"),
             (self.jitter_sigma_hz >= 0, "jitter_sigma_hz must be >= 0"),
         ]
         for ok, message in checks:
@@ -112,11 +133,18 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        unknown = sorted(d.keys() - FIELD_TYPES.keys())
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {unknown}")
         return cls(**d).validate()
+
+
+# name -> (int, float or str; whether None is allowed), from the annotations
+FIELD_TYPES = {name: ((get_args(hint) or (hint,))[0], bool(get_args(hint)))
+               for name, hint in get_type_hints(PipelineConfig).items()}
+_TYPE_NAMES = {int: "a finite integer", float: "a finite number",
+               str: "a string"}
+_FLOAT_MAX = sys.float_info.max
 
 
 def read_config_file(path) -> dict:

@@ -1,7 +1,7 @@
 """Exception hierarchy for the audioanom pipeline.
 
-Config errors (bad parameters, bad input schemas) map to CLI exit code 2;
-runtime errors (I/O, malformed files) map to exit code 1.
+The class alone decides the CLI exit code: a ConfigError (bad parameters, a
+feature table that does not fit the model) exits 2, any other error exits 1.
 """
 
 
@@ -95,7 +95,7 @@ class EmptyClass(AudioAnomError):
     """A class has no training instances."""
 
 
-class SchemaMismatch(AudioAnomError):
+class SchemaMismatch(ConfigError):
     """Feature vector does not conform to the model's schema."""
 
 

@@ -21,10 +21,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .config import PipelineConfig
 from .dsp import (
-    DEFAULT_FRAME_LEN,
-    DEFAULT_HOP,
-    DEFAULT_N_FFT,
     LOG_FLOOR,
     SCALE_POWER,
     frame_signal,
@@ -33,27 +31,6 @@ from .dsp import (
 )
 from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
                      MalformedFeatureFile, NonFiniteFeature, SignalTooShort)
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    n_mels: int = 26
-    n_coeffs: int = 13
-    fmin: float = 0.0
-    fmax: Optional[float] = None   # None -> sample_rate / 2
-    pre_emphasis: float = 0.97
-    frame_len: int = DEFAULT_FRAME_LEN
-    hop: int = DEFAULT_HOP
-    n_fft: int = DEFAULT_N_FFT
-
-    def validate(self, sample_rate: int) -> None:
-        fmax = self.fmax if self.fmax is not None else sample_rate / 2
-        if not 1 <= self.n_coeffs <= self.n_mels:
-            raise ValueError(
-                f"need 1 <= n_coeffs <= n_mels, got {self.n_coeffs}/{self.n_mels}")
-        if not 0 <= self.fmin < fmax <= sample_rate / 2:
-            raise ValueError(
-                f"need 0 <= fmin < fmax <= Nyquist, got [{self.fmin}, {fmax}]")
 
 
 @dataclass(frozen=True)
@@ -122,27 +99,27 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(config: MfccConfig, sample_rate: int) -> np.ndarray:
+def mel_filterbank(cfg: PipelineConfig, sample_rate: int) -> np.ndarray:
     """Triangular mel filters, peak amplitude 1, shape (n_mels, n_fft/2 + 1).
 
     Filter centers sit at n_mels points equally spaced on the mel scale
     between fmin and fmax (plus the two edge points).
     """
-    config.validate(sample_rate)
-    fmax = config.fmax if config.fmax is not None else sample_rate / 2
-    n_bins = config.n_fft // 2 + 1
+    fmax = cfg.fmax if cfg.fmax is not None else sample_rate / 2
+    n_bins = cfg.n_fft // 2 + 1
 
-    mel_pts = np.linspace(hz_to_mel(config.fmin), hz_to_mel(fmax),
-                          config.n_mels + 2)
+    mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax),
+                          cfg.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
 
-    center_bins = np.floor(hz_pts[1:-1] * config.n_fft / sample_rate).astype(int)
-    if len(np.unique(center_bins)) < config.n_mels:
+    center_bins = np.floor(hz_pts[1:-1] * cfg.n_fft / sample_rate).astype(int)
+    # monotonic, so a repeat is a neighbour; np.unique would import numpy.ma
+    if np.any(center_bins[1:] == center_bins[:-1]):
         raise DegenerateFilter(
-            f"{config.n_mels} mel filters collapse at n_fft={config.n_fft}, "
-            f"sample_rate={sample_rate}")
+            f"n_mels={cfg.n_mels} mel filters collapse onto shared FFT bins "
+            f"at n_fft={cfg.n_fft}, sample_rate={sample_rate}")
 
-    bin_freqs = np.arange(n_bins) * sample_rate / config.n_fft
+    bin_freqs = np.arange(n_bins) * sample_rate / cfg.n_fft
     lo, center, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
     rising = (bin_freqs - lo) / (center - lo)
     falling = (hi - bin_freqs) / (hi - center)
@@ -150,31 +127,31 @@ def mel_filterbank(config: MfccConfig, sample_rate: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _mel_bank(config: MfccConfig, sample_rate: int) -> np.ndarray:
+def _mel_bank(cfg: PipelineConfig, sample_rate: int) -> np.ndarray:
     """mel_filterbank once per (config, sample_rate); shared, so read-only."""
-    fb = mel_filterbank(config, sample_rate)
+    fb = mel_filterbank(cfg, sample_rate)
     fb.flags.writeable = False
     return fb
 
 
-def mfcc(buffer: AudioBuffer, config: MfccConfig = MfccConfig()) -> np.ndarray:
+def mfcc(buffer: AudioBuffer,
+         cfg: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Frame-level MFCCs, shape (num_frames, n_coeffs).
 
     Chain: pre-emphasis, Hann framing, power spectrum, mel filterbank,
     log (1e-10 floor), orthonormal DCT-II, keep the first n_coeffs.
     """
-    config.validate(buffer.sample_rate)
-    emphasized = pre_emphasis(buffer, config.pre_emphasis)
-    fm = frame_signal(emphasized, config.frame_len, config.hop, window=True)
+    emphasized = pre_emphasis(buffer, cfg.pre_emphasis)
+    fm = frame_signal(emphasized, cfg.frame_len, cfg.hop, window=True)
     if fm.frames.shape[0] == 0:
         raise SignalTooShort(
-            f"need at least {config.frame_len} samples, got {len(buffer)}")
-    spec = power_spectrogram(fm, config.n_fft, SCALE_POWER)
-    energies = spec.bins @ _mel_bank(config, buffer.sample_rate).T
+            f"need at least {cfg.frame_len} samples, got {len(buffer)}")
+    spec = power_spectrogram(fm, cfg.n_fft, SCALE_POWER)
+    energies = spec.bins @ _mel_bank(cfg, buffer.sample_rate).T
     log_e = np.log(energies + LOG_FLOOR)
     # orthonormal DCT-II basis, first n_coeffs rows only
-    n = config.n_mels
-    k = np.arange(config.n_coeffs)[:, None]
+    n = cfg.n_mels
+    k = np.arange(cfg.n_coeffs)[:, None]
     scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
     basis = scale * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
     return log_e @ basis.T
@@ -228,23 +205,23 @@ def feature_schema(n_coeffs: int = 13) -> tuple:
 
 def extract_clip_features(
     segment: AudioBuffer,
-    config: MfccConfig = MfccConfig(),
+    cfg: PipelineConfig = PipelineConfig(),
     clip_id: str = "",
     label: Optional[str] = None,
 ) -> FeatureVector:
     """Aggregate per-frame MFCC/ZCR/centroid to one named clip vector."""
-    coeffs = mfcc(segment, config)
+    coeffs = mfcc(segment, cfg)
 
-    raw = frame_signal(segment, config.frame_len, config.hop, window=False)
+    raw = frame_signal(segment, cfg.frame_len, cfg.hop, window=False)
     zcrs = zero_crossing_rate(raw.frames)
 
     # the Hann product frame_signal(window=True) applies, on the frames
     # already taken, so the segment is not framed a third time
     windowed = replace(
-        raw, frames=raw.frames * hann_window(config.frame_len)[None, :])
-    spec = power_spectrogram(windowed, config.n_fft, SCALE_POWER)
+        raw, frames=raw.frames * hann_window(cfg.frame_len)[None, :])
+    spec = power_spectrogram(windowed, cfg.n_fft, SCALE_POWER)
     centroids = spectral_centroid(spec.bins, segment.sample_rate,
-                                  config.n_fft).hz
+                                  cfg.n_fft).hz
 
     values = np.concatenate([
         coeffs.mean(axis=0),
@@ -252,7 +229,7 @@ def extract_clip_features(
         [zcrs.mean(), zcrs.std(),
          centroids.mean(), centroids.std()],
     ])
-    return FeatureVector(feature_schema(config.n_coeffs), values,
+    return FeatureVector(feature_schema(cfg.n_coeffs), values,
                          clip_id=clip_id, label=label)
 
 

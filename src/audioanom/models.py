@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyClass,
     EmptyDataset,
     MalformedModel,
@@ -338,9 +339,9 @@ def train_forest(data: FeatureSet, n_trees: int = 100,
     if mtry is None:
         mtry = max(1, int(round(math.sqrt(n_features))))
     if not 1 <= mtry <= n_features:
-        raise ValueError(f"mtry must be in [1, {n_features}], got {mtry}")
+        raise ConfigError(f"mtry must be in [1, {n_features}], got {mtry}")
     if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
 
     trees = []
     total_importance = np.zeros(n_features)

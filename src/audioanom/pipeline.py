@@ -24,7 +24,7 @@ from .evaluate import (
 from .features import (
     FeatureSet,
     FeatureVector,
-    MfccConfig,
+    _mel_bank,
     extract_clip_features,
     save_featureset,
 )
@@ -38,13 +38,6 @@ from .models import (
 )
 from .preprocess import estimate_noise_profile, normalize, segment, spectral_subtract
 from .synthgen import CorpusSpec, render_clip, write_manifest
-
-
-def mfcc_config(cfg: PipelineConfig) -> MfccConfig:
-    return MfccConfig(n_mels=cfg.n_mels, n_coeffs=cfg.n_coeffs,
-                      fmin=cfg.fmin, fmax=cfg.fmax,
-                      pre_emphasis=cfg.pre_emphasis,
-                      frame_len=cfg.frame_len, hop=cfg.hop, n_fft=cfg.n_fft)
 
 
 def corpus_spec(cfg: PipelineConfig) -> CorpusSpec:
@@ -98,8 +91,8 @@ def write_segment_manifest(seg_rows, path) -> None:
 def _segment_features(buf: AudioBuffer, cfg: PipelineConfig, seg_id,
                      label) -> FeatureVector:
     """The feature vector of one segment, at the configured sample rate."""
-    return extract_clip_features(resample_linear(buf, cfg.sample_rate),
-                                 mfcc_config(cfg), clip_id=seg_id, label=label)
+    return extract_clip_features(resample_linear(buf, cfg.sample_rate), cfg,
+                                 clip_id=seg_id, label=label)
 
 
 def _featureset(vectors) -> FeatureSet:
@@ -209,6 +202,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> dict:
     Returns the paths of everything written. Deterministic for a fixed
     (config, seed): rerunning yields byte-identical files.
     """
+    # a degenerate mel bank fails here, before any file is written, and the
+    # forked workers inherit the cached bank
+    _mel_bank(cfg, cfg.sample_rate)
     os.makedirs(out_dir, exist_ok=True)
     corpus_dir = os.path.join(out_dir, "corpus")
     seg_dir = os.path.join(out_dir, "segments")

@@ -12,7 +12,6 @@ from audioanom.audio_io import AudioBuffer
 from audioanom.config import PipelineConfig
 from audioanom.dsp import dft, idft
 from audioanom.features import (
-    MfccConfig,
     extract_clip_features,
     mfcc,
 )
@@ -31,7 +30,7 @@ def _report(name, detail):
     print(f"PASS {name}: {detail}")
 
 
-def _oracle_mfcc_matrix(x, sr, cfg: MfccConfig):
+def _oracle_mfcc_matrix(x, sr, cfg: PipelineConfig):
     """Independent MFCC chain: explicit DFT and DCT matrices, direct
     filterbank sums. Shares no transform code with the package."""
     fmax = cfg.fmax if cfg.fmax is not None else sr / 2
@@ -76,7 +75,7 @@ def _oracle_mfcc_matrix(x, sr, cfg: MfccConfig):
 
 def test_criterion_1_mfcc_oracle_equivalence():
     start = time.perf_counter()
-    cfg = MfccConfig()
+    cfg = PipelineConfig()
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -274,7 +273,7 @@ def test_criterion_8_importance_sanity():
 def test_criterion_9_loudness_invariance():
     rng = np.random.default_rng(909)
     x = rng.uniform(-0.45, 0.45, size=SR)  # 2x gain stays below clipping
-    cfg = MfccConfig()
+    cfg = PipelineConfig()
     base_mfcc = mfcc(AudioBuffer(x, SR), cfg)
     base_fv = extract_clip_features(AudioBuffer(x, SR), cfg)
     base = dict(zip(base_fv.names, base_fv.values))

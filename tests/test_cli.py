@@ -543,6 +543,15 @@ def test_config_file_and_unknown_key(tmp_path, capsys):
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
+def test_config_values_keep_their_json_type():
+    # a JSON int for a float field is kept, so config_echo does not change
+    cfg = PipelineConfig.from_dict({"alpha": 2, "fmax": None, "mtry": 3})
+    assert cfg.to_dict()["alpha"] == 2 and type(cfg.alpha) is int
+    assert (cfg.fmax, cfg.mtry) == (None, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.alpha = 3.0
+
+
 def test_config_precedence(tmp_path, monkeypatch):
     # AUDIOANOM_CONFIG names the default file, --config replaces it, and
     # flags override whichever file is read
@@ -571,9 +580,10 @@ def test_config_precedence(tmp_path, monkeypatch):
 def test_every_config_field_is_read():
     # a field no stage reads is a setting that changes nothing
     import audioanom.cli
+    import audioanom.features
     import audioanom.pipeline
     read = set()
-    for module in (audioanom.cli, audioanom.pipeline):
+    for module in (audioanom.cli, audioanom.features, audioanom.pipeline):
         with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         read |= {node.attr for node in ast.walk(tree)

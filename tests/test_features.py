@@ -14,7 +14,6 @@ from audioanom.errors import (DegenerateFilter, FrameTooShort,
                               MalformedFeatureFile, NonFiniteFeature,
                               SignalTooShort)
 from audioanom.features import (
-    MfccConfig,
     extract_clip_features,
     feature_schema,
     featureset_from_csv,
@@ -73,7 +72,7 @@ def test_mel_inverse_composition():
 # --- mel_filterbank ---
 
 def test_filterbank_rows_nonnegative_unimodal():
-    fb = mel_filterbank(MfccConfig(), SR)
+    fb = mel_filterbank(PipelineConfig(), SR)
     assert fb.shape == (26, 257)
     assert np.all(fb >= 0)
     for row in fb:
@@ -89,7 +88,7 @@ def test_filterbank_rows_nonnegative_unimodal():
 
 
 def test_filterbank_interior_overlap_bounds():
-    cfg = MfccConfig()
+    cfg = PipelineConfig()
     fb = mel_filterbank(cfg, SR)
     pts = mel_points_hz(cfg.n_mels, 0.0, SR / 2)
     freqs = np.arange(257) * SR / cfg.n_fft
@@ -100,7 +99,7 @@ def test_filterbank_interior_overlap_bounds():
 
 
 def test_filterbank_centers_match_independent_recomputation():
-    cfg = MfccConfig()
+    cfg = PipelineConfig()
     fb = mel_filterbank(cfg, SR)
     centers_hz = mel_points_hz(cfg.n_mels, 0.0, SR / 2)[1:-1]
     expected_bins = np.floor(centers_hz * cfg.n_fft / SR).astype(int)
@@ -112,7 +111,7 @@ def test_filterbank_centers_match_independent_recomputation():
 
 def test_filterbank_degenerate_config_rejected():
     with pytest.raises(DegenerateFilter):
-        mel_filterbank(MfccConfig(n_mels=26, n_coeffs=13, n_fft=64), SR)
+        mel_filterbank(PipelineConfig(n_mels=26, n_coeffs=13, n_fft=64), SR)
 
 
 @pytest.fixture
@@ -133,16 +132,16 @@ def test_filterbank_built_once_per_config(monkeypatch, fresh_mel_cache):
     rng = np.random.default_rng(29)
     for _ in range(3):
         extract_clip_features(AudioBuffer(rng.normal(0, 0.1, size=SR), SR))
-    assert built == [(MfccConfig(), SR)]
-    other = MfccConfig(n_mels=20)
+    assert built == [(PipelineConfig(), SR)]
+    other = PipelineConfig(n_mels=20)
     extract_clip_features(AudioBuffer(rng.normal(0, 0.1, size=SR), SR), other)
     mfcc(AudioBuffer(rng.normal(0, 0.1, size=SR), SR), other)
-    assert built == [(MfccConfig(), SR), (other, SR)]
+    assert built == [(PipelineConfig(), SR), (other, SR)]
 
 
 def test_cached_filterbank_is_read_only(fresh_mel_cache):
-    fb = features._mel_bank(MfccConfig(), SR)
-    np.testing.assert_array_equal(fb, mel_filterbank(MfccConfig(), SR))
+    fb = features._mel_bank(PipelineConfig(), SR)
+    np.testing.assert_array_equal(fb, mel_filterbank(PipelineConfig(), SR))
     with pytest.raises(ValueError):
         fb[0, 0] = 1.0
 
@@ -356,7 +355,7 @@ def test_front_end_matches_per_frame_reference(tmp_path):
     assert np.all(segments[1].samples[SR // 2:] == 0.0)   # zero-padded tail
     segments += [AudioBuffer(np.zeros(SR), SR),              # silent
                  AudioBuffer(segments[0].samples[1000:1400], SR)]  # 1 frame
-    cfg = MfccConfig()
+    cfg = PipelineConfig()
     n = cfg.n_coeffs
     for seg in segments:
         got = extract_clip_features(seg, cfg).values

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audioanom.errors import (EmptyDataset, MalformedModel, NonFiniteFeature,
-                              NotBinary, SchemaMismatch)
+from audioanom.errors import (ConfigError, EmptyDataset, MalformedModel,
+                              NonFiniteFeature, NotBinary, SchemaMismatch)
 from audioanom.features import FeatureSet, FeatureVector
 from audioanom.models import (
     DecisionTree,
@@ -169,6 +169,13 @@ def test_forest_reduces_to_single_tree():
     assert forest.trees[0].nodes == tree.nodes
     np.testing.assert_array_equal(forest.trees[0].importances,
                                   tree.importances)
+
+
+def test_forest_mtry_beyond_features_is_a_config_error():
+    # the bound needs the data, so PipelineConfig.validate cannot check it
+    data = make_set(np.arange(8.0).reshape(4, 2), ["A", "B", "A", "B"])
+    with pytest.raises(ConfigError, match=r"mtry must be in \[1, 2\], got 3"):
+        train_forest(data, n_trees=1, mtry=3)
 
 
 def test_forest_importance_finds_informative_feature():
