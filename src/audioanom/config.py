@@ -1,9 +1,10 @@
 """Flat, versioned pipeline configuration.
 
-Every tunable that a stage reads lives here with its default; config files
-are flat JSON key/value documents. Unknown keys are rejected and values
-are validated against stage preconditions at load time, so a typo fails
-before any audio is touched.
+Every tunable that a stage reads lives here with its default, in the one
+settings type of the program; config files are flat JSON key/value
+documents. Unknown keys are rejected, and each value is checked against its
+field's type and then against the stages' preconditions at load time, so a
+typo or an impossible setting fails before any audio is touched.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def read_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # not UTF-8, not JSON, nested too deep, or an integer too long
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

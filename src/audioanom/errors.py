@@ -16,8 +16,9 @@ class ConfigError(AudioAnomError):
 # --- synthgen ---
 
 class MalformedManifest(AudioAnomError):
-    """Manifest CSV that is empty, has a bad header or a row that is not
-    clip_id,path,label."""
+    """Manifest CSV that is not UTF-8 or not CSV, is empty, has a bad
+    header, a row that is not clip_id,path,label or a clip id or label
+    holding a line break."""
 
 
 # --- audio_io ---
@@ -77,8 +78,8 @@ class NonFiniteFeature(AudioAnomError):
 
 
 class MalformedFeatureFile(AudioAnomError):
-    """Feature CSV that is empty, has a bad header, a row of the wrong
-    length or a value that is not a number."""
+    """Feature CSV that is not UTF-8 or not CSV, is empty, has a bad
+    header, a row of the wrong length or a value that is not a number."""
 
 
 # --- models ---
@@ -100,9 +101,11 @@ class SchemaMismatch(ConfigError):
 
 
 class MalformedModel(AudioAnomError):
-    """Model JSON that is not JSON, of an unknown kind or format version,
-    missing a field its kind needs, holding a tree node that is neither a
-    leaf nor a well-formed split, or an ensemble without positive weights."""
+    """Model JSON that is not UTF-8 JSON, of an unknown kind or format
+    version, missing a field its kind needs or holding one of the wrong
+    type or length, holding a tree node that is neither a leaf nor a
+    well-formed split, or an ensemble without positive weights or whose
+    members' names differ from its own."""
 
 
 # --- eval ---

@@ -8,6 +8,10 @@ A segment is framed twice, plain and pre-emphasized, and each Hann-windowed
 frame matrix gets one power spectrum: the MFCCs are defined on the
 emphasized spectrum and the centroid on the plain one, so two spectra are
 inherent. ZCR reads the plain frames before windowing.
+
+The settings (frame_len, hop, n_fft, n_mels, n_coeffs, fmin, fmax,
+pre_emphasis) come from a PipelineConfig, whose validate() checks them once;
+the mel bank is built once per (config, sample rate) and shared.
 """
 
 from __future__ import annotations
@@ -250,15 +254,20 @@ def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
     """Parse featureset_to_csv's format; MalformedFeatureFile names `source`,
     the clip and the column of a fault."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
+    try:
+        lines = list(reader)
+    except csv.Error as exc:   # such as a field beyond csv's size limit
+        raise MalformedFeatureFile(
+            f"{source}: line {reader.line_num}: {exc}") from None
+    if not lines:
         raise MalformedFeatureFile(f"{source}: empty file, no header")
+    header = lines[0]
     if header[:2] != ["clip_id", "label"]:
         raise MalformedFeatureFile(f"{source}: header must start with "
                                    f"clip_id,label, got {header[:2]}")
     names = tuple(header[2:])
     rows = []
-    for row in reader:
+    for row in lines[1:]:
         if not row:
             continue
         clip_id = row[0]
@@ -298,5 +307,9 @@ def save_featureset(fs: FeatureSet, path) -> None:
 
 
 def load_featureset(path) -> FeatureSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return featureset_from_csv(fh.read(), str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedFeatureFile(f"{path}: not UTF-8: {exc}") from None
+    return featureset_from_csv(text, str(path))

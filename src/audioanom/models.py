@@ -473,11 +473,7 @@ class EnsembleModel:
     feature_names: tuple = ()
 
     def __post_init__(self):
-        if not self.members:
-            raise ValueError("ensemble needs at least one member")
         total = sum(w for _, w in self.members)
-        if total <= 0:
-            raise ValueError("member weights must sum to a positive value")
         self.members = [(m, w / total) for m, w in self.members]
         if not self.class_names:
             self.class_names = self.members[0][0].class_names
@@ -502,12 +498,19 @@ class EnsembleModel:
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleModel":
         members = []
+        feature_names = tuple(d["feature_names"])
+        class_names = tuple(d["class_names"])
         for i, m in enumerate(d["members"]):
             try:
-                members.append((model_from_dict(m["model"]), m["weight"]))
+                model = model_from_dict(m["model"])
+                if (model.feature_names, model.class_names) != (
+                        feature_names, class_names):
+                    raise MalformedModel("feature_names or class_names "
+                                         "differ from the ensemble's")
             except MalformedModel as exc:
                 raise MalformedModel(f"ensemble member {i}: {exc}") from exc
-        return cls(members, tuple(d["class_names"]), tuple(d["feature_names"]))
+            members.append((model, m["weight"]))
+        return cls(members, class_names, feature_names)
 
 
 def _check_schema(model, names: tuple) -> None:
@@ -556,33 +559,71 @@ def _require_keys(d, keys, what: str) -> None:
         raise MalformedModel(f"{what} lacks {missing}")
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number: an int or a float, not a bool."""
+    return type(x) in (int, float) and -_FLOAT_MAX <= x <= _FLOAT_MAX
+
+
+def _is_str(x) -> bool:
+    return type(x) is str
+
+
+def _require_list(d, key: str, what: str, items: str = "entries",
+                  item=None, n: Optional[int] = None) -> list:
+    """d[key]; MalformedModel unless it is a list, of n entries if n is
+    given, each of which `item` accepts if it is given."""
+    value = d[key]
+    if not (type(value) is list and (n is None or len(value) == n)
+            and (item is None or all(map(item, value)))):
+        count = "" if n is None else f"{n} "
+        raise MalformedModel(f"{what}: {key} is not a list of {count}{items}")
+    return value
+
+
 def model_from_dict(d: dict):
     """The model of a v1 document, after checking its kind, its
-    format_version, the keys its kind needs, a forest's nodes and an
-    ensemble's weights."""
+    format_version, the keys its kind needs, its names, a forest's nodes and
+    importances, an SVM's classes, weights and scaler, and an ensemble's
+    weights and its members' names."""
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in _MODEL_KEYS:
         raise MalformedModel(f"unknown model kind {kind!r}")
-    _require_keys(d, ("format_version", *_MODEL_KEYS[kind]), f"{kind} model")
+    what = f"{kind} model"
+    _require_keys(d, ("format_version", *_MODEL_KEYS[kind]), what)
     if d["format_version"] != MODEL_FORMAT_VERSION:
-        raise MalformedModel(f"{kind} model has format_version "
+        raise MalformedModel(f"{what} has format_version "
                              f"{d['format_version']!r}, expected "
                              f"{MODEL_FORMAT_VERSION}")
+    n = len(_require_list(d, "feature_names", what, "strings", _is_str))
+    classes = _require_list(d, "class_names", what, "strings", _is_str)
     if kind == "random_forest":
-        for i, tree in enumerate(d["trees"]):
+        _require_list(d, "importances", what, "finite numbers", _is_number, n)
+        for i, tree in enumerate(_require_list(d, "trees", what)):
             _require_keys(tree, _TREE_KEYS, f"tree {i}")
         return RandomForest.from_dict(d)
     if kind == "linear_svm":
+        if len(classes) != 2:
+            raise MalformedModel(f"{what} has {len(classes)} class_names, "
+                                 f"not 2")
+        for key in ("weights", "scaler_mean", "scaler_std"):
+            _require_list(d, key, what, "finite numbers", _is_number, n)
+        if not all(s > 0 for s in d["scaler_std"]):
+            raise MalformedModel(f"{what}: scaler_std holds a value <= 0")
+        if not _is_number(d["bias"]):
+            raise MalformedModel(f"{what}: bias {d['bias']!r} is not a "
+                                 f"finite number")
         return LinearSvm.from_dict(d)
-    for i, member in enumerate(d["members"]):
+    members = _require_list(d, "members", what)
+    for i, member in enumerate(members):
         _require_keys(member, _MEMBER_KEYS, f"ensemble member {i}")
-    if not d["members"]:
+    if not members:
         raise MalformedModel("ensemble model has no members")
-    weights = [member["weight"] for member in d["members"]]
-    if (not all(type(w) in (int, float) and 0 <= w <= _FLOAT_MAX
-                for w in weights) or sum(weights) <= 0):
+    weights = [member["weight"] for member in members]
+    if (not all(_is_number(w) and w >= 0 for w in weights)
+            or not 0 < sum(weights) <= _FLOAT_MAX):
         raise MalformedModel(f"ensemble member weights {weights} are not "
-                             f"non-negative numbers with a positive sum")
+                             f"non-negative numbers with a positive, finite "
+                             f"sum")
     return EnsembleModel.from_dict(d)
 
 
@@ -596,6 +637,12 @@ def load_model(path):
     """The model saved at `path`; MalformedModel names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return model_from_dict(json.load(fh))
-        except (json.JSONDecodeError, MalformedModel) as exc:
-            raise MalformedModel(f"{path}: {exc}") from exc
+            d = json.load(fh)
+        # not UTF-8, not JSON, nested too deep, or an integer too long
+        except (ValueError, RecursionError) as exc:
+            raise MalformedModel(f"{path}: not a UTF-8 JSON document: "
+                                 f"{exc}") from exc
+    try:
+        return model_from_dict(d)
+    except MalformedModel as exc:
+        raise MalformedModel(f"{path}: {exc}") from exc

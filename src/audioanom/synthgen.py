@@ -14,6 +14,7 @@ subset of the corpus regenerates identically.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
@@ -138,15 +139,20 @@ def load_manifest(path) -> list:
     """Read a manifest CSV; relative paths resolve against its directory.
     MalformedManifest names the file and the line or clip of a fault."""
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedManifest(f"{path}: not UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(text))
+    rows = []
+    try:
         header = next(reader, None)
         if header is None:
             raise MalformedManifest(f"{path}: empty file, no header")
         if header != ["clip_id", "path", "label"]:
             raise MalformedManifest(f"{path}: header must be "
                                     f"clip_id,path,label, got {header}")
-        rows = []
         for row in reader:
             if not row:
                 continue
@@ -155,5 +161,14 @@ def load_manifest(path) -> list:
                     f"{path}: line {reader.line_num}: clip {row[0]!r} has "
                     f"{len(row)} fields, not clip_id,path,label")
             clip_id, file_path, label = row
+            # a line break in an id or label would end a row of the CSVs
+            # the later stages write
+            if any(c in clip_id + label for c in "\r\n"):
+                raise MalformedManifest(
+                    f"{path}: line {reader.line_num}: clip id {clip_id!r} "
+                    f"or label {label!r} holds a line break")
             rows.append((clip_id, os.path.join(base, file_path), label))
-        return rows
+    except csv.Error as exc:   # such as a field beyond csv's size limit
+        raise MalformedManifest(
+            f"{path}: line {reader.line_num}: {exc}") from None
+    return rows

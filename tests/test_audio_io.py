@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audioanom.audio_io import AudioBuffer, read_wav, resample_linear, write_wav
-from audioanom.errors import EmptyAudio, MalformedContainer, UnsupportedEncoding
+from audioanom.errors import (AudioAnomError, EmptyAudio, MalformedContainer,
+                              UnsupportedEncoding)
 
 
 def _wav_bytes(fmt_code, channels, rate, bits, payload, magic=b"RIFF"):
@@ -129,3 +132,45 @@ def test_resample_duration_and_bounds():
     # linear interpolation is a convex combination of neighbors
     assert out.samples.max() <= buf.samples.max() + 1e-12
     assert out.samples.min() >= buf.samples.min() - 1e-12
+
+
+VALID_WAVS = [
+    _wav_bytes(1, 1, 16000, 16, struct.pack("<4h", 0, 1000, -1000, 32767)),
+    _wav_bytes(3, 2, 8000, 32,
+               np.array([0.5, -0.5, 0.25, 0.0], dtype="<f4").tobytes()),
+]
+# (offset, width) of the header fields: RIFF size, fmt chunk size, format,
+# channels, sample rate, byte rate, block align, bits, data chunk size
+HEADER_FIELDS = [(4, 4), (16, 4), (20, 2), (22, 2), (24, 4), (28, 4),
+                 (32, 2), (34, 2), (40, 4)]
+EDGE_VALUES = [0, 1, 2, 3, 16, 32, 0xFFFE, 0xFFFF, 2**31, 2**32 - 1]
+
+
+@pytest.fixture(scope="module")
+def wav_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_read_wav_mutated_bytes_raise_only_named_errors(wav_dir, data):
+    # any other exception would reach the CLI as a traceback
+    raw = bytearray(data.draw(st.sampled_from(VALID_WAVS)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        offset, width = data.draw(st.sampled_from(HEADER_FIELDS))
+        value = data.draw(st.sampled_from(EDGE_VALUES)
+                          | st.integers(0, 2**32 - 1)) % 2 ** (8 * width)
+        raw[offset:offset + width] = value.to_bytes(width, "little")
+    for _ in range(data.draw(st.integers(0, 4))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(
+            st.integers(0, 255))
+    cut = data.draw(st.integers(0, len(raw)))
+    raw = raw[:cut] + data.draw(st.binary(max_size=16))
+    path = wav_dir / "mutated.wav"
+    path.write_bytes(bytes(raw))
+    try:
+        buf = read_wav(path)
+    except AudioAnomError:
+        return
+    assert len(buf) > 0 and buf.sample_rate > 0
+    assert np.all(np.isfinite(buf.samples))

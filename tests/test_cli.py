@@ -332,11 +332,12 @@ def _in_ensemble_member_1(mutate):
      ["tree 1 node 2", "[0.5, 0.4], not probabilities summing to 1"]),
     (_ensemble(), ["no members"]),
     (_ensemble(0.0, 0.0), ["weights [0.0, 0.0]"]),
+    (_ensemble(1e308, 1e308), ["weights [1e+308, 1e+308]", "finite sum"]),
     (_in_ensemble_member_1(_tree_1({**SPLIT, "left": 0}, LEAF_A, LEAF_B)),
      ["ensemble member 1: tree 1 node 0", "children 0 and 2"]),
 ], ids=["node_keys", "feature_range", "left_cycle", "right_cycle",
         "child_range", "leaf_length", "leaf_sum", "no_members",
-        "zero_weights", "ensemble_member"])
+        "zero_weights", "infinite_weight_sum", "ensemble_member"])
 def test_evaluate_malformed_model_structure_names_file(
         extracted, small_forest, tmp_path, capsys, mutate, named):
     _, features = extracted
@@ -351,6 +352,132 @@ def test_evaluate_malformed_model_structure_names_file(
     for fragment in named:
         assert fragment in err
     assert not (tmp_path / "r.json").exists()
+
+
+NOT_UTF8 = b"clip_id,label\n\xff\xfe\n"
+LONG = "9" * 200_000   # beyond csv's 131,072-character field limit
+
+
+def _model(kind, mutate):
+    """The small run's model of `kind`, changed by `mutate`."""
+    def content(models):
+        doc = json.loads((models / f"model_{kind}.json").read_text())
+        mutate(doc)
+        return doc
+    return content
+
+
+def _member_1(**changes):
+    return _model("ensemble",
+                  lambda doc: doc["members"][1]["model"].update(changes))
+
+
+# case -> (command, its input file's content or None, flags, exit code,
+# fragments the error names; {file} stands for the input file). A pipeline's
+# input is its --config file; a manifest, feature table or model is the
+# input of extract, train or evaluate.
+BAD_INPUT = {
+    "snr_db_nan": ("pipeline", None, ["--snr-db", "nan"], 2,
+                   ["'snr_db'", "nan"]),
+    "fmax_above_nyquist": ("pipeline", None, ["--fmax", "9000"], 2,
+                           ["fmax", "9000", "Nyquist"]),
+    "degenerate_mel_bank": ("pipeline", None, ["--n-mels", "200"], 2,
+                            ["n_mels=200"]),
+    "mtry_above_features": ("train", None, ["--mtry", "31"], 2,
+                            ["mtry", "[1, 30]", "31"]),
+    "negative_seed": ("pipeline", None, ["--seed", "-1"], 2, ["seed"]),
+    "clip_within_lead": ("pipeline", None, ["--clip-s", "0.1"], 2,
+                         ["clip_s", "0.3 s noise-only lead"]),
+    "segment_shorter_than_frame": ("pipeline", None, ["--seg-len-s", "1e-5"],
+                                   2, ["seg_len_s", "frame_len"]),
+    "infinite_weight_sum": ("pipeline", None, ["--forest-weight", "1e308",
+                                               "--svm-weight", "1e308"], 2,
+                            ["ensemble weights", "finite sum"]),
+    "config_str_for_int": ("pipeline", {"n_trees": "x"}, [], 2,
+                           ["'n_trees'", "'x'", "a finite integer"]),
+    "config_float_for_int": ("pipeline", {"n_per_class": 2.5}, [], 2,
+                             ["'n_per_class'", "2.5"]),
+    "config_float_for_optional_int": ("pipeline", {"max_depth": 2.5}, [], 2,
+                                      ["'max_depth'", "a finite integer or null"]),
+    "config_bool_for_float": ("pipeline", {"normalize_target": True}, [], 2,
+                              ["'normalize_target'", "True"]),
+    "config_null_for_int": ("pipeline", {"seed": None}, [], 2,
+                            ["'seed'", "None"]),
+    "config_not_utf8": ("pipeline", NOT_UTF8, [], 2, ["{file}"]),
+    "features_not_utf8": ("train", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
+    "features_long_cell": ("train", f"clip_id,label,a\nc0,normal,{LONG}\n",
+                           [], 1, ["{file}", "line 2", "field limit"]),
+    "manifest_not_utf8": ("extract", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
+    "manifest_long_path": ("extract",
+                           f"clip_id,path,label\nc0,{LONG}.wav,normal\n", [],
+                           1, ["{file}", "line 2", "field limit"]),
+    "manifest_cr_in_id": ("extract",
+                          b'clip_id,path,label\n"c\r0",x.wav,normal\n', [], 1,
+                          ["{file}", "line 3", "'c\\n0'", "line break"]),
+    "manifest_lf_in_label": ("extract",
+                             b'clip_id,path,label\nc0,x.wav,"nor\nmal"\n',
+                             [], 1,
+                             ["{file}", "line 3", "'nor\\nmal'", "line break"]),
+    "model_not_utf8": ("evaluate", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
+    "svm_3_weights": ("evaluate", _model(
+        "svm", lambda d: d.update(weights=d["weights"][:3])), [], 1,
+        ["{file}", "weights", "30 finite numbers"]),
+    "svm_str_weights": ("evaluate", _model(
+        "svm", lambda d: d.update(weights="abc")), [], 1,
+        ["{file}", "weights"]),
+    "svm_null_weights": ("evaluate", _model(
+        "svm", lambda d: d.update(weights=None)), [], 1,
+        ["{file}", "weights"]),
+    "svm_str_bias": ("evaluate", _model(
+        "svm", lambda d: d.update(bias="x")), [], 1,
+        ["{file}", "bias 'x'"]),
+    "svm_zero_std": ("evaluate", _model(
+        "svm", lambda d: d.update(scaler_std=[0.0] * 30)), [], 1,
+        ["{file}", "scaler_std"]),
+    "svm_3_classes": ("evaluate", _model(
+        "svm", lambda d: d["class_names"].append("other")), [], 1,
+        ["{file}", "3 class_names"]),
+    "forest_int_feature_names": ("evaluate", _model(
+        "forest", lambda d: d.update(feature_names=5)), [], 1,
+        ["{file}", "feature_names", "strings"]),
+    "ensemble_member_feature_names": ("evaluate", _member_1(
+        feature_names=[f"f{i}" for i in range(30)]), [], 1,
+        ["{file}", "ensemble member 1", "feature_names"]),
+    "ensemble_member_class_names": ("evaluate", _member_1(
+        class_names=["normal", "anomalous"]), [], 1,
+        ["{file}", "ensemble member 1", "class_names"]),
+}
+INPUT_FLAG = {"pipeline": "--config", "train": "--features",
+              "extract": "--manifest", "evaluate": "--model"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exit_code_and_message(extracted, small_forest, tmp_path,
+                                         capsys, case):
+    # the error's class alone decides the exit code; nothing is written
+    command, content, flags, code, named = BAD_INPUT[case]
+    _, features = extracted
+    argv = [command, *flags]
+    path = tmp_path / "input"
+    if callable(content):
+        content = content(small_forest.parent)
+    if content is not None:
+        if not isinstance(content, (bytes, str)):
+            content = json.dumps(content)
+        if isinstance(content, str):
+            content = content.encode()
+        path.write_bytes(content)
+        argv += [INPUT_FLAG[command], str(path)]
+    elif command == "train":
+        argv += ["--features", str(features)]
+    if command == "evaluate":
+        argv += ["--test", str(features)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    for fragment in named:
+        assert fragment.replace("{file}", str(path)) in err
+    assert not out.exists()
 
 
 CONFIG_FIELDS = [f for f in dataclasses.fields(PipelineConfig)
