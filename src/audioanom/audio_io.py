@@ -42,10 +42,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def read_wav(path) -> AudioBuffer:
     """Read a PCM16 or float32 WAV file as a mono AudioBuffer.

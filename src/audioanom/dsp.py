@@ -44,9 +44,6 @@ class Spectrogram:
     sample_rate: int
     scale: str
 
-    def bin_frequency(self, b: int) -> float:
-        return b * self.sample_rate / self.n_fft
-
 
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann taper: w[k] = 0.5 * (1 - cos(2 pi k / n))."""

@@ -101,11 +101,12 @@ class SchemaMismatch(ConfigError):
 
 
 class MalformedModel(AudioAnomError):
-    """Model JSON that is not UTF-8 JSON, of an unknown kind or format
-    version, missing a field its kind needs or holding one of the wrong
-    type or length, holding a tree node that is neither a leaf nor a
-    well-formed split, or an ensemble without positive weights or whose
-    members' names differ from its own."""
+    """Model JSON that is not UTF-8 JSON, of an unknown kind, or whose
+    document, trees or ensemble members lack a key or hold a value that
+    fails the key's check in `models._SCHEMA` (format_version 1, names,
+    sizes, ranges, an ensemble member's names), holding a tree node that is
+    neither a leaf nor a well-formed split, or an ensemble whose weights
+    have no positive, finite sum."""
 
 
 # --- eval ---

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -109,11 +110,6 @@ class DecisionTree:
             "max_depth": self.params.max_depth,
             "min_samples_leaf": self.params.min_samples_leaf,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        return cls(d["nodes"], d["n_classes"],
-                   TreeParams(d["max_depth"], d["min_samples_leaf"]))
 
 
 # a JSON number beyond the largest float does not fit a float64
@@ -297,7 +293,7 @@ class RandomForest:
         self.class_names = tuple(class_names)
         self.mtry = mtry
         self.seed = seed
-        self.importances = importances
+        self.importances = np.asarray(importances, dtype=float)
         self._nodes = _NodeArrays([t.nodes for t in trees],
                                   len(self.class_names),
                                   len(self.feature_names))
@@ -317,12 +313,6 @@ class RandomForest:
             "importances": self.importances.tolist(),
             "trees": [t.to_dict() for t in self.trees],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForest":
-        return cls([DecisionTree.from_dict(t) for t in d["trees"]],
-                   tuple(d["feature_names"]), tuple(d["class_names"]),
-                   d["mtry"], d["seed"], np.asarray(d["importances"]))
 
 
 def train_forest(data: FeatureSet, n_trees: int = 100,
@@ -371,10 +361,10 @@ class LinearSvm:
     def __init__(self, weights: np.ndarray, bias: float, mean: np.ndarray,
                  std: np.ndarray, feature_names: tuple, class_names: tuple,
                  lam: float, epochs: int, seed: int):
-        self.weights = weights
+        self.weights = np.asarray(weights, dtype=float)
         self.bias = bias
-        self.mean = mean
-        self.std = std
+        self.mean = np.asarray(mean, dtype=float)
+        self.std = np.asarray(std, dtype=float)
         self.feature_names = tuple(feature_names)
         self.class_names = tuple(class_names)
         self.lam = lam
@@ -406,13 +396,6 @@ class LinearSvm:
             "epochs": self.epochs,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearSvm":
-        return cls(np.asarray(d["weights"]), d["bias"],
-                   np.asarray(d["scaler_mean"]), np.asarray(d["scaler_std"]),
-                   tuple(d["feature_names"]), tuple(d["class_names"]),
-                   d["lambda"], d["epochs"], d["seed"])
 
 
 def svm_objective(model: LinearSvm, X: np.ndarray, y_pm: np.ndarray) -> float:
@@ -474,7 +457,8 @@ class EnsembleModel:
 
     def __post_init__(self):
         total = sum(w for _, w in self.members)
-        self.members = [(m, w / total) for m, w in self.members]
+        if abs(total - 1.0) > 1e-12:  # so saved weights reload unchanged
+            self.members = [(m, w / total) for m, w in self.members]
         if not self.class_names:
             self.class_names = self.members[0][0].class_names
         if not self.feature_names:
@@ -494,23 +478,6 @@ class EnsembleModel:
             "members": [{"weight": w, "model": m.to_dict()}
                         for m, w in self.members],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleModel":
-        members = []
-        feature_names = tuple(d["feature_names"])
-        class_names = tuple(d["class_names"])
-        for i, m in enumerate(d["members"]):
-            try:
-                model = model_from_dict(m["model"])
-                if (model.feature_names, model.class_names) != (
-                        feature_names, class_names):
-                    raise MalformedModel("feature_names or class_names "
-                                         "differ from the ensemble's")
-            except MalformedModel as exc:
-                raise MalformedModel(f"ensemble member {i}: {exc}") from exc
-            members.append((model, m["weight"]))
-        return cls(members, class_names, feature_names)
 
 
 def _check_schema(model, names: tuple) -> None:
@@ -539,92 +506,125 @@ def predict_proba(model, data) -> np.ndarray:
 
 # --- persistence ---
 
-# the keys, besides format_version and kind, that each kind of document holds
-_MODEL_KEYS = {
-    "random_forest": ("feature_names", "class_names", "mtry", "seed",
-                      "importances", "trees"),
-    "linear_svm": ("feature_names", "class_names", "weights", "bias",
-                   "scaler_mean", "scaler_std", "lambda", "epochs", "seed"),
-    "ensemble": ("feature_names", "class_names", "members"),
-}
-_TREE_KEYS = ("nodes", "n_classes", "max_depth", "min_samples_leaf")
-_MEMBER_KEYS = ("weight", "model")
-
-
-def _require_keys(d, keys, what: str) -> None:
-    if not isinstance(d, dict):
-        raise MalformedModel(f"{what} is not a JSON object")
-    missing = sorted(set(keys) - d.keys())
-    if missing:
-        raise MalformedModel(f"{what} lacks {missing}")
-
-
-def _is_number(x) -> bool:
+def _number(x) -> bool:
     """A finite JSON number: an int or a float, not a bool."""
     return type(x) in (int, float) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
-def _is_str(x) -> bool:
-    return type(x) is str
+def _numbers(v, f: list, *_) -> bool:
+    return type(v) is list and len(v) == len(f) and all(map(_number, v))
 
 
-def _require_list(d, key: str, what: str, items: str = "entries",
-                  item=None, n: Optional[int] = None) -> list:
-    """d[key]; MalformedModel unless it is a list, of n entries if n is
-    given, each of which `item` accepts if it is given."""
-    value = d[key]
-    if not (type(value) is list and (n is None or len(value) == n)
-            and (item is None or all(map(item, value)))):
-        count = "" if n is None else f"{n} "
-        raise MalformedModel(f"{what}: {key} is not a list of {count}{items}")
-    return value
+def _strings(v, *_) -> bool:
+    return type(v) is list and all(type(s) is str for s in v)
+
+
+def _int_from(low: int) -> tuple:
+    return lambda v, *_: type(v) is int and v >= low, f"an integer >= {low}"
+
+
+_NAMES = {
+    "format_version": (lambda v, *_: v == MODEL_FORMAT_VERSION
+                       and type(v) is int, f"{MODEL_FORMAT_VERSION}"),
+    "feature_names": (_strings, "a list of strings"),
+    "class_names": (_strings, "a list of strings"),
+}
+
+# kind of document -> key -> (check of the value given the model's feature
+# names f and class names c, which it lists first; what the value must be,
+# {n} and {k} standing for their counts; the kind of a list's documents).
+_SCHEMA = {
+    "random_forest": {
+        **_NAMES,
+        "mtry": (lambda v, f, c: type(v) is int and 1 <= v <= len(f),
+                 "an integer in [1, {n}]"),
+        "seed": _int_from(0),
+        "importances": (lambda v, f, c: _numbers(v, f) and min(v, default=0)
+                        >= 0, "a list of {n} finite numbers >= 0"),
+        "trees": (lambda v, *_: type(v) is list, "a list", "tree"),
+    },
+    "tree": {
+        "nodes": (lambda v, *_: type(v) is list, "a list"),
+        "n_classes": (lambda v, f, c: type(v) is int and v == len(c), "{k}"),
+        "max_depth": (lambda v, *_: v is None or type(v) is int and v >= 1,
+                      "null or an integer >= 1"),
+        "min_samples_leaf": _int_from(1),
+    },
+    "linear_svm": {
+        **_NAMES,
+        "class_names": (lambda v, *_: _strings(v) and len(v) == 2,
+                        "a list of 2 strings"),
+        "weights": (_numbers, "a list of {n} finite numbers"),
+        "bias": (lambda v, *_: _number(v), "a finite number"),
+        "scaler_mean": (_numbers, "a list of {n} finite numbers"),
+        "scaler_std": (lambda v, f, c: _numbers(v, f) and min(v, default=1)
+                       > 0, "a list of {n} finite numbers > 0"),
+        "lambda": (lambda v, *_: _number(v) and v > 0, "a finite number > 0"),
+        "epochs": _int_from(0),
+        "seed": _int_from(0),
+    },
+    "ensemble": {**_NAMES, "members": (
+        lambda v, *_: type(v) is list and v != [],
+        "a list of one or more members", "ensemble member")},
+    "ensemble member": {
+        "weight": (lambda v, *_: _number(v) and v >= 0,
+                   "a finite number >= 0"),
+        "model": (lambda v, f, c: type(v) is dict and v.get("feature_names")
+                  == f and v.get("class_names") == c,
+                  "a model of the ensemble's feature_names and class_names"),
+    },
+}
+
+
+def _check_document(d, kind: str, what: str, f=(), c=()) -> None:
+    """MalformedModel naming `what` and a key unless kind's table accepts d."""
+    if type(d) is not dict:
+        raise MalformedModel(f"{what} is not a JSON object")
+    missing = sorted(_SCHEMA[kind].keys() - d.keys())
+    if missing:
+        raise MalformedModel(f"{what} lacks {missing}")
+    for key, (check, must, *part) in _SCHEMA[kind].items():
+        value = d[key]
+        if not check(value, f, c):
+            shown = (f"{len(value) or 'no'} {key}" if type(value) is list
+                     else f"{key} {reprlib.repr(value)}")
+            raise MalformedModel(f"{what} has {shown}, not "
+                                 f"{must.format(n=len(f), k=len(c))}")
+        f = value if key == "feature_names" else f
+        c = value if key == "class_names" else c
+        for i, item in enumerate(value if part else ()):
+            _check_document(item, part[0], f"{part[0]} {i}", f, c)
 
 
 def model_from_dict(d: dict):
-    """The model of a v1 document, after checking its kind, its
-    format_version, the keys its kind needs, its names, a forest's nodes and
-    importances, an SVM's classes, weights and scaler, and an ensemble's
-    weights and its members' names."""
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if kind not in _MODEL_KEYS:
+    """The model of a v1 random_forest, linear_svm or ensemble document,
+    built from it once `_SCHEMA` accepts it; MalformedModel also names a
+    node `_NodeArrays` rejects and weights without a positive, finite sum."""
+    kind = d.get("kind") if type(d) is dict else None
+    if kind not in ("random_forest", "linear_svm", "ensemble"):
         raise MalformedModel(f"unknown model kind {kind!r}")
-    what = f"{kind} model"
-    _require_keys(d, ("format_version", *_MODEL_KEYS[kind]), what)
-    if d["format_version"] != MODEL_FORMAT_VERSION:
-        raise MalformedModel(f"{what} has format_version "
-                             f"{d['format_version']!r}, expected "
-                             f"{MODEL_FORMAT_VERSION}")
-    n = len(_require_list(d, "feature_names", what, "strings", _is_str))
-    classes = _require_list(d, "class_names", what, "strings", _is_str)
+    _check_document(d, kind, f"{kind} model")
+    names = d["feature_names"], d["class_names"]
     if kind == "random_forest":
-        _require_list(d, "importances", what, "finite numbers", _is_number, n)
-        for i, tree in enumerate(_require_list(d, "trees", what)):
-            _require_keys(tree, _TREE_KEYS, f"tree {i}")
-        return RandomForest.from_dict(d)
+        trees = [DecisionTree(t["nodes"], t["n_classes"], TreeParams(
+            t["max_depth"], t["min_samples_leaf"])) for t in d["trees"]]
+        return RandomForest(trees, *names, d["mtry"], d["seed"],
+                            d["importances"])
     if kind == "linear_svm":
-        if len(classes) != 2:
-            raise MalformedModel(f"{what} has {len(classes)} class_names, "
-                                 f"not 2")
-        for key in ("weights", "scaler_mean", "scaler_std"):
-            _require_list(d, key, what, "finite numbers", _is_number, n)
-        if not all(s > 0 for s in d["scaler_std"]):
-            raise MalformedModel(f"{what}: scaler_std holds a value <= 0")
-        if not _is_number(d["bias"]):
-            raise MalformedModel(f"{what}: bias {d['bias']!r} is not a "
-                                 f"finite number")
-        return LinearSvm.from_dict(d)
-    members = _require_list(d, "members", what)
-    for i, member in enumerate(members):
-        _require_keys(member, _MEMBER_KEYS, f"ensemble member {i}")
-    if not members:
-        raise MalformedModel("ensemble model has no members")
-    weights = [member["weight"] for member in members]
-    if (not all(_is_number(w) and w >= 0 for w in weights)
-            or not 0 < sum(weights) <= _FLOAT_MAX):
-        raise MalformedModel(f"ensemble member weights {weights} are not "
-                             f"non-negative numbers with a positive, finite "
-                             f"sum")
-    return EnsembleModel.from_dict(d)
+        return LinearSvm(d["weights"], d["bias"], d["scaler_mean"],
+                         d["scaler_std"], *names, d["lambda"], d["epochs"],
+                         d["seed"])
+    weights = [member["weight"] for member in d["members"]]
+    if not 0 < sum(weights) <= _FLOAT_MAX:
+        raise MalformedModel(f"ensemble member weights {weights} have no "
+                             f"positive, finite sum")
+    members = []
+    for i, member in enumerate(d["members"]):
+        try:
+            members.append((model_from_dict(member["model"]), weights[i]))
+        except MalformedModel as exc:
+            raise MalformedModel(f"ensemble member {i}: {exc}") from exc
+    return EnsembleModel(members)
 
 
 def save_model(model, path) -> None:

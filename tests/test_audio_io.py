@@ -128,7 +128,7 @@ def test_resample_duration_and_bounds():
     rng = np.random.default_rng(3)
     buf = AudioBuffer(rng.uniform(-0.8, 0.8, size=16000), 16000)
     out = resample_linear(buf, 11025)
-    assert abs(out.duration_s - buf.duration_s) <= 1.0 / 11025
+    assert abs(len(out) / 11025 - len(buf) / 16000) <= 1.0 / 11025
     # linear interpolation is a convex combination of neighbors
     assert out.samples.max() <= buf.samples.max() + 1e-12
     assert out.samples.min() >= buf.samples.min() - 1e-12

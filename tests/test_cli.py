@@ -446,6 +446,50 @@ BAD_INPUT = {
     "ensemble_member_class_names": ("evaluate", _member_1(
         class_names=["normal", "anomalous"]), [], 1,
         ["{file}", "ensemble member 1", "class_names"]),
+    "forest_str_seed": ("evaluate", _model(
+        "forest", lambda d: d.update(seed="x")), [], 1,
+        ["{file}", "seed 'x'", "an integer >= 0"]),
+    "forest_list_mtry": ("evaluate", _model(
+        "forest", lambda d: d.update(mtry=[1])), [], 1,
+        ["{file}", "1 mtry", "an integer in [1, 30]"]),
+    "forest_zero_mtry": ("evaluate", _model(
+        "forest", lambda d: d.update(mtry=0)), [], 1,
+        ["{file}", "mtry 0", "an integer in [1, 30]"]),
+    "forest_negative_importance": ("evaluate", _model(
+        "forest", lambda d: d["importances"].__setitem__(3, -0.25)), [], 1,
+        ["{file}", "30 importances", "30 finite numbers >= 0"]),
+    "tree_7_classes": ("evaluate", _model(
+        "forest", lambda d: d["trees"][1].update(n_classes=7)), [], 1,
+        ["{file}", "tree 1 has n_classes 7", "not 2"]),
+    "tree_str_max_depth": ("evaluate", _model(
+        "forest", lambda d: d["trees"][0].update(max_depth="deep")), [], 1,
+        ["{file}", "tree 0 has max_depth 'deep'", "null or an integer >= 1"]),
+    "tree_negative_min_samples_leaf": ("evaluate", _model(
+        "forest", lambda d: d["trees"][1].update(min_samples_leaf=-3)), [],
+        1, ["{file}", "tree 1 has min_samples_leaf -3", "an integer >= 1"]),
+    "svm_str_lambda": ("evaluate", _model(
+        "svm", lambda d: d.update({"lambda": "x"})), [], 1,
+        ["{file}", "lambda 'x'", "a finite number > 0"]),
+    "svm_null_epochs": ("evaluate", _model(
+        "svm", lambda d: d.update(epochs=None)), [], 1,
+        ["{file}", "epochs None", "an integer >= 0"]),
+    "svm_float_seed": ("evaluate", _model(
+        "svm", lambda d: d.update(seed=1.5)), [], 1,
+        ["{file}", "seed 1.5", "an integer >= 0"]),
+    "model_list_kind": ("evaluate", {"kind": []}, [], 1,
+                        ["{file}", "unknown model kind []"]),
+    "no_segments_per_clip": ("pipeline", None, [
+        "--n-per-class", "3", "--pad-policy", "drop-last", "--seg-len-s",
+        "3"], 2, ["clip_s 2.0", "seg_len_s 3.0", "pad_policy 'drop-last'",
+                  "0 rows per class", "no test rows"]),
+    "no_training_rows": ("pipeline", None, [
+        "--n-per-class", "3", "--test-frac", "0.99"], 2,
+        ["n_per_class 3", "6 rows per class", "test_frac 0.99",
+         "no training rows"]),
+    "no_test_rows": ("pipeline", None, [
+        "--n-per-class", "3", "--test-frac", "0.01"], 2,
+        ["n_per_class 3", "6 rows per class", "test_frac 0.01",
+         "no test rows"]),
 }
 INPUT_FLAG = {"pipeline": "--config", "train": "--features",
               "extract": "--manifest", "evaluate": "--model"}

@@ -357,11 +357,12 @@ GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
 @st.composite
-def random_forests(draw):
+def random_forests(draw, n_features=None, n_classes=None):
     """(forest, X): 1-6 trees of depth 0-4 over 1-3 features and 2-3
-    classes, and 0-30 rows, every value and threshold drawn from GRID."""
-    n_features = draw(st.integers(1, 3))
-    n_classes = draw(st.integers(2, 3))
+    classes unless given, and 0-30 rows, every value and threshold drawn
+    from GRID."""
+    n_features = n_features or draw(st.integers(1, 3))
+    n_classes = n_classes or draw(st.integers(2, 3))
 
     def grow(nodes, depth):
         node_id = len(nodes)
@@ -412,6 +413,104 @@ def test_forest_kernel_matches_row_walk_and_json_round_trip(case):
         np.testing.assert_array_equal(
             tree.predict_proba_values(X),
             np.array([walk_tree_nodes(nodes, x) for x in X]).reshape(P.shape))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def linear_svms(draw, feature_names=None, class_names=None):
+    """A LinearSvm of any finite weights, bias and scaler, over 0-4 features
+    and 2 classes of any names unless given."""
+    if feature_names is None:
+        feature_names = draw(st.lists(st.text(), max_size=4))
+    if class_names is None:
+        class_names = draw(st.lists(st.text(), min_size=2, max_size=2))
+    n = len(feature_names)
+
+    def vector(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                        dtype=float)
+
+    return LinearSvm(vector(FINITE), draw(FINITE), vector(FINITE),
+                     vector(POSITIVE), feature_names, class_names,
+                     draw(POSITIVE), draw(st.integers(0, 1000)),
+                     draw(st.integers(0, 2**64)))
+
+
+@st.composite
+def ensembles(draw):
+    """An EnsembleModel of 1-3 forests and SVMs over 1-3 features and
+    classes A and B, with any finite weights of a positive sum."""
+    n_features = draw(st.integers(1, 3))
+    names = tuple(f"f{i}" for i in range(n_features))
+    forests = random_forests(n_features, 2).map(lambda case: case[0])
+    models = draw(st.lists(forests | linear_svms(names, ("A", "B")),
+                           min_size=1, max_size=3))
+    weights = draw(st.lists(st.floats(0, 1e300), min_size=len(models),
+                            max_size=len(models)).filter(lambda w: sum(w)))
+    return EnsembleModel(list(zip(models, weights)))
+
+
+def _rows(draw, model):
+    """0-20 rows of the model's features, GRID values and any finite ones."""
+    shape = draw(st.integers(0, 20)), len(model.feature_names)
+    values = draw(st.lists(st.sampled_from(GRID) | FINITE,
+                           min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@settings(deadline=None)
+@given(st.one_of(linear_svms(), ensembles()), st.data())
+def test_svm_and_ensemble_json_round_trip(tmp_path_factory, model, data):
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.to_dict() == model.to_dict()
+    X = _rows(data.draw, model)
+    with np.errstate(all="ignore"):  # huge weights may overflow to nan
+        np.testing.assert_array_equal(back.predict_proba_values(X),
+                                      model.predict_proba_values(X))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda values: (st.lists(values, max_size=3)
+                    | st.dictionaries(st.text(), values, max_size=3)),
+    max_leaves=6)
+
+
+def _documents(doc):
+    """A model document, its first tree (each tree has the same keys) and
+    its ensemble members, and theirs."""
+    yield doc
+    yield from doc.get("trees", [])[:1]
+    for member in doc.get("members", []):
+        yield member
+        yield from _documents(member["model"])
+
+
+# each example replaces every key in turn, so fewer examples are needed
+@settings(deadline=None, max_examples=50)
+@given(st.one_of(linear_svms(), ensembles()), st.data())
+def test_any_key_replaced_loads_or_raises_malformed_model(model, data):
+    # any other exception would reach the CLI as a traceback
+    text = json.dumps(model.to_dict())
+    for i, part in enumerate(_documents(json.loads(text))):
+        for key in sorted(part):
+            doc = json.loads(text)
+            list(_documents(doc))[i][key] = data.draw(JSON_VALUES)
+            try:
+                back = model_from_dict(doc)
+            except MalformedModel:
+                continue
+            X = np.zeros((2, len(back.feature_names)))
+            with np.errstate(all="ignore"):
+                P = back.predict_proba_values(X)
+            assert P.shape == (2, len(back.class_names))
+            model_from_dict(json.loads(json.dumps(back.to_dict())))
 
 
 def test_vector_prediction_matches_featureset_row():
