@@ -127,24 +127,6 @@ class PipelineConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        # segment() cuts a clip into whole segments and zero-pads the rest
-        # unless pad_policy drops it; stratified_split rounds test_frac *
-        # rows half up. Each class must give both the train and test sets
-        # a row.
-        clip = round(self.clip_s * self.sample_rate)
-        seg = round(self.seg_len_s * self.sample_rate)
-        segments = clip // seg + (clip % seg > 0
-                                  and self.pad_policy == "zero-pad-last")
-        rows = self.n_per_class * segments
-        n_test = int(self.test_frac * rows + 0.5)
-        if not 0 < n_test < rows:
-            raise ConfigError(
-                f"n_per_class {self.n_per_class} clips of clip_s "
-                f"{self.clip_s} s, cut at seg_len_s {self.seg_len_s} with "
-                f"pad_policy {self.pad_policy!r}, give {rows} rows per "
-                f"class, and test_frac {self.test_frac} puts {n_test} of "
-                f"them in the test set: no "
-                f"{'test' if n_test == 0 else 'training'} rows are left")
         return self
 
     def to_dict(self) -> dict:

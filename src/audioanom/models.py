@@ -451,14 +451,11 @@ def train_svm(data: FeatureSet, lam: float = 1e-3, epochs: int = 50,
 
 @dataclass
 class EnsembleModel:
-    members: list                      # (model, weight) pairs
+    members: list              # (model, weight) pairs, weights as given
     class_names: tuple = ()
     feature_names: tuple = ()
 
     def __post_init__(self):
-        total = sum(w for _, w in self.members)
-        if abs(total - 1.0) > 1e-12:  # so saved weights reload unchanged
-            self.members = [(m, w / total) for m, w in self.members]
         if not self.class_names:
             self.class_names = self.members[0][0].class_names
         if not self.feature_names:

@@ -13,9 +13,10 @@ import os
 from .audio_io import (AudioBuffer, quantize_pcm16, read_wav, resample_linear,
                        write_wav)
 from .config import PipelineConfig
-from .errors import TooShortForProfile
+from .errors import ConfigError, TooShortForProfile
 from .evaluate import (
     EvaluationReport,
+    _round_half_up,
     emit_report,
     metrics,
     predict_confusion,
@@ -36,7 +37,8 @@ from .models import (
     train_forest,
     train_svm,
 )
-from .preprocess import estimate_noise_profile, normalize, segment, spectral_subtract
+from .preprocess import (estimate_noise_profile, n_segments, normalize, segment,
+                         spectral_subtract)
 from .synthgen import CorpusSpec, render_clip, write_manifest
 
 
@@ -171,8 +173,10 @@ def train_models(train: FeatureSet, cfg: PipelineConfig) -> dict:
                           params=params, seed=cfg.seed)
     svm = train_svm(train, lam=cfg.svm_lambda, epochs=cfg.svm_epochs,
                     seed=cfg.seed)
-    ensemble = EnsembleModel([(forest, cfg.forest_weight),
-                              (svm, cfg.svm_weight)])
+    # saved weights sum to 1 as far as floats allow, and load as saved
+    total = cfg.forest_weight + cfg.svm_weight
+    ensemble = EnsembleModel([(forest, cfg.forest_weight / total),
+                              (svm, cfg.svm_weight / total)])
     return {"forest": forest, "svm": svm, "ensemble": ensemble}
 
 
@@ -196,14 +200,36 @@ def evaluate_model(model, test: FeatureSet,
                    seed=cfg.seed)
 
 
+def _check_split_rows(cfg: PipelineConfig) -> None:
+    """Raise ConfigError when the synthetic corpus, cut into segments and
+    split, would leave a class without training or test rows."""
+    per_clip = n_segments(int(round(cfg.clip_s * cfg.sample_rate)),
+                          int(round(cfg.seg_len_s * cfg.sample_rate)),
+                          cfg.pad_policy)
+    cut = (f"clip_s {cfg.clip_s} s cut at seg_len_s {cfg.seg_len_s} s with "
+           f"pad_policy {cfg.pad_policy!r}")
+    if per_clip == 0:
+        raise ConfigError(f"each clip of {cut} gives no segment")
+    rows = cfg.n_per_class * per_clip
+    n_test = _round_half_up(cfg.test_frac * rows)
+    if not 0 < n_test < rows:
+        raise ConfigError(
+            f"n_per_class {cfg.n_per_class} clips of {cut} give {rows} rows "
+            f"per class, and test_frac {cfg.test_frac} puts {n_test} of them "
+            f"in the test set: no {'test' if n_test == 0 else 'training'} "
+            "rows are left")
+
+
 def run_pipeline(cfg: PipelineConfig, out_dir) -> dict:
     """synth -> preprocess -> extract -> split -> train -> evaluate.
 
     Returns the paths of everything written. Deterministic for a fixed
     (config, seed): rerunning yields byte-identical files.
     """
-    # a degenerate mel bank fails here, before any file is written, and the
-    # forked workers inherit the cached bank
+    # settings that leave the split a class without rows, or a degenerate
+    # mel bank, fail here, before any file is written; the forked workers
+    # inherit the cached bank
+    _check_split_rows(cfg)
     _mel_bank(cfg, cfg.sample_rate)
     os.makedirs(out_dir, exist_ok=True)
     corpus_dir = os.path.join(out_dir, "corpus")

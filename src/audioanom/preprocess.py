@@ -180,6 +180,14 @@ def normalize(
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
+def n_segments(n_samples: int, seg_len: int, pad_policy: str) -> int:
+    """How many segments of seg_len samples segment() cuts n_samples into:
+    the whole ones, plus a zero-padded tail (a whole zero segment for an
+    empty clip) unless pad_policy drops it."""
+    full, rem = divmod(n_samples, seg_len)
+    return full + (pad_policy == PAD_ZERO_LAST and (rem > 0 or n_samples == 0))
+
+
 def segment(
     buffer: AudioBuffer,
     seg_len_s: float = DEFAULT_SEG_LEN_S,
@@ -195,10 +203,8 @@ def segment(
     full = len(x) // seg_len
     segs = [AudioBuffer(x[i * seg_len:(i + 1) * seg_len], buffer.sample_rate)
             for i in range(full)]
-    rem = len(x) - full * seg_len
-    if rem > 0 and pad_policy == PAD_ZERO_LAST:
-        tail = np.concatenate([x[full * seg_len:], np.zeros(seg_len - rem)])
+    if n_segments(len(x), seg_len, pad_policy) > full:
+        tail = x[full * seg_len:]
+        tail = np.concatenate([tail, np.zeros(seg_len - len(tail))])
         segs.append(AudioBuffer(tail, buffer.sample_rate))
-    if len(x) == 0 and pad_policy == PAD_ZERO_LAST:
-        segs.append(AudioBuffer(np.zeros(seg_len), buffer.sample_rate))
     return SegmentSet(segs, seg_len=seg_len, pad_policy=pad_policy)

@@ -480,8 +480,8 @@ BAD_INPUT = {
                         ["{file}", "unknown model kind []"]),
     "no_segments_per_clip": ("pipeline", None, [
         "--n-per-class", "3", "--pad-policy", "drop-last", "--seg-len-s",
-        "3"], 2, ["clip_s 2.0", "seg_len_s 3.0", "pad_policy 'drop-last'",
-                  "0 rows per class", "no test rows"]),
+        "3"], 2, ["each clip of clip_s 2.0 s", "seg_len_s 3.0 s",
+                  "pad_policy 'drop-last'", "gives no segment"]),
     "no_training_rows": ("pipeline", None, [
         "--n-per-class", "3", "--test-frac", "0.99"], 2,
         ["n_per_class 3", "6 rows per class", "test_frac 0.99",
@@ -524,7 +524,32 @@ def test_bad_input_exit_code_and_message(extracted, small_forest, tmp_path,
     assert not out.exists()
 
 
-CONFIG_FIELDS = [f for f in dataclasses.fields(PipelineConfig)
+@pytest.mark.parametrize("command", ["preprocess", "extract", "train",
+                                     "render"])
+def test_split_row_settings_bind_only_pipeline(extracted, tmp_path, command):
+    # only `pipeline` splits the synthetic 2 s clips, so only it refuses the
+    # settings of the no_segments_per_clip and no_test_rows rows; a user's
+    # 5 s clip gives one 3 s segment under drop-last
+    clip = tmp_path / "clip.wav"
+    rng = np.random.default_rng(0)
+    write_wav(AudioBuffer(rng.uniform(-0.5, 0.5, 5 * SR), SR), clip)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"clip_id,path,label\nc0,{clip},normal\n")
+    inputs = {"preprocess": ["--manifest", str(manifest)],
+              "extract": ["--manifest", str(manifest)],
+              "train": ["--features", str(extracted[1]), "--n-trees", "2"],
+              "render": ["--clip", str(clip), "--kind", "spectrum"]}
+    out = tmp_path / "out"
+    assert main([command, *inputs[command], "--seg-len-s", "3",
+                 "--pad-policy", "drop-last", "--test-frac", "0.01",
+                 "--out", str(out)]) == 0
+    if command == "preprocess":
+        assert len(load_manifest(out / "segments.csv")) == 1
+    if command == "extract":
+        assert len(out.read_text().splitlines()) == 2
+
+
+CONFIG_FIELDS =[f for f in dataclasses.fields(PipelineConfig)
                  if f.name != "version"]
 
 

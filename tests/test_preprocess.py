@@ -7,6 +7,7 @@ from audioanom.preprocess import (
     PAD_DROP_LAST,
     PAD_ZERO_LAST,
     estimate_noise_profile,
+    n_segments,
     nlms_cancel,
     normalize,
     segment,
@@ -244,6 +245,13 @@ def test_segment_short_input():
     padded = segment(buf, 1.0, PAD_ZERO_LAST)
     assert len(padded.segments) == 1
     assert len(padded.segments[0]) == SR
+
+
+@pytest.mark.parametrize("policy", [PAD_ZERO_LAST, PAD_DROP_LAST])
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 29, 30])
+def test_n_segments_counts_what_segment_cuts(n, policy):
+    buf = AudioBuffer(np.ones(n), 10)
+    assert n_segments(n, 10, policy) == len(segment(buf, 1.0, policy).segments)
 
 
 def test_segment_concatenation_recovers_input():
