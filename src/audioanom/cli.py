@@ -17,8 +17,8 @@ import numpy as np
 from . import pipeline as pl
 from .audio_io import read_wav, resample_linear
 from .config import FIELD_TYPES, PipelineConfig, read_config_file
-from .dsp import SCALE_POWER, frame_signal, power_spectrogram
-from .errors import AudioAnomError, ConfigError
+from .dsp import LOG_FLOOR, frame_signal, power_spectrogram
+from .errors import AudioAnomError, ConfigError, SignalTooShort
 from .evaluate import emit_report
 from .features import load_featureset, save_featureset
 from .models import load_model, save_model
@@ -105,24 +105,26 @@ def _write_pgm(path, pixels: np.ndarray) -> None:
 def cmd_render(args) -> int:
     cfg = _load_config(args)
     buf = resample_linear(read_wav(args.clip), cfg.sample_rate)
+    if args.kind != "waveform":
+        fm = frame_signal(buf, cfg.frame_len, cfg.hop, window=True)
+        if not len(fm.frames):
+            raise SignalTooShort(f"{args.clip}: need at least {cfg.frame_len} "
+                                 f"samples for a {args.kind}, got {len(buf)}")
+        power = power_spectrogram(fm, cfg.n_fft)
     if args.kind == "waveform":
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("time_s,amplitude\n")
             for i, x in enumerate(buf.samples):
                 fh.write(f"{i / buf.sample_rate:.6f},{x:.8f}\n")
     elif args.kind == "spectrum":
-        fm = frame_signal(buf, cfg.frame_len, cfg.hop, window=True)
-        spec = power_spectrogram(fm, cfg.n_fft, SCALE_POWER)
-        mean_power = spec.bins.mean(axis=0)
-        power_db = 10.0 * np.log10(mean_power + 1e-10)
+        power_db = 10.0 * np.log10(power.mean(axis=0) + LOG_FLOOR)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("freq_hz,power_db\n")
             for k, p in enumerate(power_db):
                 fh.write(f"{k * cfg.sample_rate / cfg.n_fft:.4f},{p:.4f}\n")
     else:  # spectrogram
-        fm = frame_signal(buf, cfg.frame_len, cfg.hop, window=True)
-        spec = power_spectrogram(fm, cfg.n_fft, "log-power")
-        db = np.clip(spec.bins, SPECTROGRAM_DB_MIN, SPECTROGRAM_DB_MAX)
+        db = np.clip(10.0 * np.log10(power + LOG_FLOOR), SPECTROGRAM_DB_MIN,
+                     SPECTROGRAM_DB_MAX)
         scaled = (db - SPECTROGRAM_DB_MIN) / (SPECTROGRAM_DB_MAX - SPECTROGRAM_DB_MIN)
         pixels = np.round(scaled * 255.0)
         # rows = frequency with bin 0 at the bottom; columns = time

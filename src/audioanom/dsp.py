@@ -1,7 +1,7 @@
-"""Shared frequency-domain primitives: framing, windowing, DFT, spectrograms.
+"""Shared frequency-domain primitives: framing, windowing, DFT, power spectra.
 
 Transforms are restricted to power-of-two sizes; frames shorter than n_fft
-are zero-padded. Log-power uses a 1e-10 floor so silence never yields -inf.
+are zero-padded. Logs of power add LOG_FLOOR so silence never yields -inf.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ DEFAULT_N_FFT = 512
 
 LOG_FLOOR = 1e-10
 
-SCALE_MAGNITUDE = "magnitude"
-SCALE_POWER = "power"
-SCALE_LOG_POWER = "log-power"
-
 
 @dataclass(frozen=True)
 class FrameMatrix:
@@ -32,17 +28,6 @@ class FrameMatrix:
     hop: int
     frame_len: int
     sample_rate: int
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Per-frame one-sided spectra: shape (num_frames, n_fft // 2 + 1)."""
-
-    bins: np.ndarray
-    n_fft: int
-    hop: int
-    sample_rate: int
-    scale: str
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -102,24 +87,11 @@ def frame_signal(
                        sample_rate=buffer.sample_rate)
 
 
-def power_spectrogram(
-    fm: FrameMatrix,
-    n_fft: int = DEFAULT_N_FFT,
-    scale: str = SCALE_POWER,
-) -> Spectrogram:
-    """One-sided spectrogram over bins 0 .. n_fft/2 in the requested scale."""
+def power_spectrogram(fm: FrameMatrix,
+                      n_fft: int = DEFAULT_N_FFT) -> np.ndarray:
+    """One-sided power spectra |rfft|^2 of the frames over bins
+    0 .. n_fft/2: shape (num_frames, n_fft // 2 + 1)."""
     _check_n_fft(n_fft)
     if fm.frame_len > n_fft:
         raise ValueError(f"frame_len {fm.frame_len} exceeds n_fft {n_fft}")
-    if scale not in (SCALE_MAGNITUDE, SCALE_POWER, SCALE_LOG_POWER):
-        raise ValueError(f"unknown scale {scale!r}")
-    spec = np.fft.rfft(fm.frames, n=n_fft, axis=1)
-    mag = np.abs(spec)
-    if scale == SCALE_MAGNITUDE:
-        bins = mag
-    elif scale == SCALE_POWER:
-        bins = mag ** 2
-    else:
-        bins = 10.0 * np.log10(mag ** 2 + LOG_FLOOR)
-    return Spectrogram(bins, n_fft=n_fft, hop=fm.hop,
-                       sample_rate=fm.sample_rate, scale=scale)
+    return np.abs(np.fft.rfft(fm.frames, n=n_fft, axis=1)) ** 2

@@ -55,10 +55,6 @@ class TooShortForProfile(AudioAnomError):
     """Leading noise window does not contain one full frame."""
 
 
-class ProfileMismatch(ConfigError):
-    """Noise profile n_fft differs from the configured n_fft."""
-
-
 class LengthMismatch(AudioAnomError):
     """Paired sequences have different lengths."""
 

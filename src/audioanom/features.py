@@ -26,13 +26,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .config import PipelineConfig
-from .dsp import (
-    LOG_FLOOR,
-    SCALE_POWER,
-    frame_signal,
-    hann_window,
-    power_spectrogram,
-)
+from .dsp import LOG_FLOOR, frame_signal, hann_window, power_spectrogram
 from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
                      MalformedFeatureFile, NonFiniteFeature, SignalTooShort)
 
@@ -150,8 +144,8 @@ def mfcc(buffer: AudioBuffer,
     if fm.frames.shape[0] == 0:
         raise SignalTooShort(
             f"need at least {cfg.frame_len} samples, got {len(buffer)}")
-    spec = power_spectrogram(fm, cfg.n_fft, SCALE_POWER)
-    energies = spec.bins @ _mel_bank(cfg, buffer.sample_rate).T
+    energies = (power_spectrogram(fm, cfg.n_fft)
+                @ _mel_bank(cfg, buffer.sample_rate).T)
     log_e = np.log(energies + LOG_FLOOR)
     # orthonormal DCT-II basis, first n_coeffs rows only
     n = cfg.n_mels
@@ -223,9 +217,8 @@ def extract_clip_features(
     # already taken, so the segment is not framed a third time
     windowed = replace(
         raw, frames=raw.frames * hann_window(cfg.frame_len)[None, :])
-    spec = power_spectrogram(windowed, cfg.n_fft, SCALE_POWER)
-    centroids = spectral_centroid(spec.bins, segment.sample_rate,
-                                  cfg.n_fft).hz
+    centroids = spectral_centroid(power_spectrogram(windowed, cfg.n_fft),
+                                  segment.sample_rate, cfg.n_fft).hz
 
     values = np.concatenate([
         coeffs.mean(axis=0),

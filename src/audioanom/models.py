@@ -33,12 +33,6 @@ from .features import FeatureSet, FeatureVector, require_finite
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    max_depth: Optional[int] = None
-    min_samples_leaf: int = 1
-
-
 def _gini(counts: np.ndarray) -> float:
     n = counts.sum()
     if n == 0:
@@ -80,36 +74,6 @@ def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int,
     i = rows[best]
     threshold = 0.5 * (xs[i, best] + xs[i + 1, best])
     return best, float(threshold), float(gains[best])
-
-
-class DecisionTree:
-    """CART classifier whose nodes are dicts in the model-JSON v1 format.
-
-    Internal nodes: {"feature", "threshold", "left", "right"}, children
-    having higher ids; leaves: {"proba": [...]} with probabilities summing
-    to 1. Prediction routes rows over the node arrays of a one-tree forest.
-    """
-
-    def __init__(self, nodes: list, n_classes: int, params: TreeParams,
-                 importances: Optional[np.ndarray] = None):
-        self.nodes = nodes
-        self.n_classes = n_classes
-        self.params = params
-        # unnormalized per-feature impurity decrease from training
-        self.importances = importances
-
-    def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
-        """(n, n_classes) leaf probabilities of the rows of X."""
-        return _NodeArrays([self.nodes], self.n_classes,
-                           X.shape[1]).predict_proba_values(X)
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "n_classes": self.n_classes,
-            "max_depth": self.params.max_depth,
-            "min_samples_leaf": self.params.min_samples_leaf,
-        }
 
 
 # a JSON number beyond the largest float does not fit a float64
@@ -231,11 +195,15 @@ class _NodeArrays:
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
-                params: TreeParams,
-                rng: Optional[np.random.Generator] = None,
-                mtry: int = 0) -> DecisionTree:
-    """CART on every feature, or with an rng on mtry features drawn per
-    node."""
+                max_depth: Optional[int], min_samples_leaf: int,
+                rng: np.random.Generator, mtry: int) -> tuple:
+    """A CART tree's model-JSON v1 document, each node splitting on the best
+    of mtry features drawn with rng, and its unnormalized per-feature
+    impurity decrease.
+
+    Internal nodes are {"feature", "threshold", "left", "right"}, children
+    having higher ids; leaves are {"proba": [...]}, summing to 1.
+    """
     n_total, n_features = X.shape
     nodes: list = []
     importances = np.zeros(n_features)
@@ -247,15 +215,14 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
 
         parent_gini = _gini(counts)
         can_split = (parent_gini > 0.0
-                     and (params.max_depth is None or depth < params.max_depth)
-                     and len(idx) >= 2 * params.min_samples_leaf)
+                     and (max_depth is None or depth < max_depth)
+                     and len(idx) >= 2 * min_samples_leaf)
         best = None
         if can_split:
-            candidates = (np.arange(n_features) if rng is None else
-                          np.sort(rng.choice(n_features, size=mtry,
-                                             replace=False)))
+            candidates = np.sort(rng.choice(n_features, size=mtry,
+                                            replace=False))
             best = _best_split(X[np.ix_(idx, candidates)], y[idx], n_classes,
-                               params.min_samples_leaf, parent_gini)
+                               min_samples_leaf, parent_gini)
 
         if best is None:
             proba = counts / counts.sum()
@@ -273,19 +240,25 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
         return node_id
 
     grow(np.arange(n_total), 0)
-    return DecisionTree(nodes, n_classes, params, importances)
+    return ({"nodes": nodes, "n_classes": n_classes, "max_depth": max_depth,
+             "min_samples_leaf": min_samples_leaf}, importances)
 
 
-def train_tree(data: FeatureSet,
-               params: TreeParams = TreeParams()) -> DecisionTree:
+def _training_arrays(data: FeatureSet) -> tuple:
     if not data.vectors:
         raise EmptyDataset("no training instances")
-    X = data.matrix()
-    y = data.labels()
-    return _build_tree(X, y, len(data.class_names), params)
+    return data.matrix(), data.labels()
+
+
+def _normalized(importances: np.ndarray) -> np.ndarray:
+    s = importances.sum()
+    return importances / s if s > 0 else importances
 
 
 class RandomForest:
+    """Trees held as their model-JSON v1 documents {"nodes", "n_classes",
+    "max_depth", "min_samples_leaf"}, voting by their mean probability."""
+
     def __init__(self, trees: list, feature_names: tuple, class_names: tuple,
                  mtry: int, seed: int, importances: np.ndarray):
         self.trees = trees
@@ -294,7 +267,7 @@ class RandomForest:
         self.mtry = mtry
         self.seed = seed
         self.importances = np.asarray(importances, dtype=float)
-        self._nodes = _NodeArrays([t.nodes for t in trees],
+        self._nodes = _NodeArrays([t["nodes"] for t in trees],
                                   len(self.class_names),
                                   len(self.feature_names))
 
@@ -311,20 +284,30 @@ class RandomForest:
             "mtry": self.mtry,
             "seed": self.seed,
             "importances": self.importances.tolist(),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [dict(t) for t in self.trees],
         }
+
+
+def train_tree(data: FeatureSet, max_depth: Optional[int] = None,
+               min_samples_leaf: int = 1) -> RandomForest:
+    """One CART tree on every row, every feature a candidate at each node,
+    as a one-tree forest."""
+    X, y = _training_arrays(data)
+    n_features = X.shape[1]
+    tree, importances = _build_tree(X, y, len(data.class_names), max_depth,
+                                    min_samples_leaf,
+                                    np.random.default_rng(0), n_features)
+    return RandomForest([tree], data.names, data.class_names, n_features, 0,
+                        _normalized(importances))
 
 
 def train_forest(data: FeatureSet, n_trees: int = 100,
                  mtry: Optional[int] = None,
-                 params: TreeParams = TreeParams(),
+                 max_depth: Optional[int] = None, min_samples_leaf: int = 1,
                  seed: int = 0) -> RandomForest:
     """Bagged CART forest with per-tree RNG streams derived from (seed, i):
     each tree draws its bootstrap rows, then its per-node features."""
-    if not data.vectors:
-        raise EmptyDataset("no training instances")
-    X = data.matrix()
-    y = data.labels()
+    X, y = _training_arrays(data)
     n, n_features = X.shape
     if mtry is None:
         mtry = max(1, int(round(math.sqrt(n_features))))
@@ -338,15 +321,13 @@ def train_forest(data: FeatureSet, n_trees: int = 100,
     for i in range(n_trees):
         rng = np.random.default_rng([seed, i])
         idx = rng.integers(0, n, size=n)
-        tree = _build_tree(X[idx], y[idx], len(data.class_names), params,
-                           rng, mtry)
+        tree, importances = _build_tree(X[idx], y[idx],
+                                        len(data.class_names), max_depth,
+                                        min_samples_leaf, rng, mtry)
         trees.append(tree)
-        total_importance += tree.importances
-
-    s = total_importance.sum()
-    importances = total_importance / s if s > 0 else total_importance
+        total_importance += importances
     return RandomForest(trees, data.names, data.class_names, mtry, seed,
-                        importances)
+                        _normalized(total_importance))
 
 
 def feature_importance(forest: RandomForest) -> list:
@@ -603,9 +584,7 @@ def model_from_dict(d: dict):
     _check_document(d, kind, f"{kind} model")
     names = d["feature_names"], d["class_names"]
     if kind == "random_forest":
-        trees = [DecisionTree(t["nodes"], t["n_classes"], TreeParams(
-            t["max_depth"], t["min_samples_leaf"])) for t in d["trees"]]
-        return RandomForest(trees, *names, d["mtry"], d["seed"],
+        return RandomForest(d["trees"], *names, d["mtry"], d["seed"],
                             d["importances"])
     if kind == "linear_svm":
         return LinearSvm(d["weights"], d["bias"], d["scaler_mean"],

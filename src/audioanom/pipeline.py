@@ -13,7 +13,7 @@ import os
 from .audio_io import (AudioBuffer, quantize_pcm16, read_wav, resample_linear,
                        write_wav)
 from .config import PipelineConfig
-from .errors import ConfigError, TooShortForProfile
+from .errors import ConfigError, SignalTooShort, TooShortForProfile
 from .evaluate import (
     EvaluationReport,
     _round_half_up,
@@ -31,7 +31,7 @@ from .features import (
 )
 from .models import (
     EnsembleModel,
-    TreeParams,
+    RandomForest,
     feature_importance,
     save_model,
     train_forest,
@@ -57,7 +57,7 @@ def preprocess_clip(buf: AudioBuffer, cfg: PipelineConfig):
     buf = resample_linear(buf, cfg.sample_rate)
     try:
         profile = estimate_noise_profile(buf, cfg.lead_ms, cfg.n_fft)
-        buf = spectral_subtract(buf, profile, cfg.alpha, cfg.beta, cfg.n_fft)
+        buf = spectral_subtract(buf, profile, cfg.alpha, cfg.beta)
     except TooShortForProfile:
         pass
     buf = normalize(buf, cfg.normalize_mode, cfg.normalize_target).buffer
@@ -104,9 +104,16 @@ def _featureset(vectors) -> FeatureSet:
 
 
 def extract_manifest(rows, cfg: PipelineConfig) -> FeatureSet:
-    """Feature vectors for every (segment) manifest row."""
-    return _featureset([_segment_features(read_wav(path), cfg, seg_id, label)
-                        for seg_id, path, label in rows])
+    """Feature vectors for every (segment) manifest row; SignalTooShort
+    names the clip and file of a segment shorter than one frame."""
+    vectors = []
+    for seg_id, path, label in rows:
+        try:
+            vectors.append(_segment_features(read_wav(path), cfg, seg_id,
+                                             label))
+        except SignalTooShort as exc:
+            raise SignalTooShort(f"clip {seg_id!r} ({path}): {exc}") from exc
+    return _featureset(vectors)
 
 
 def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:
@@ -168,9 +175,10 @@ def _front_end(cfg: PipelineConfig, corpus_dir, seg_dir) -> tuple:
 
 def train_models(train: FeatureSet, cfg: PipelineConfig) -> dict:
     """Fit forest, SVM, and their soft-voting ensemble."""
-    params = TreeParams(cfg.max_depth, cfg.min_samples_leaf)
     forest = train_forest(train, n_trees=cfg.n_trees, mtry=cfg.mtry,
-                          params=params, seed=cfg.seed)
+                          max_depth=cfg.max_depth,
+                          min_samples_leaf=cfg.min_samples_leaf,
+                          seed=cfg.seed)
     svm = train_svm(train, lam=cfg.svm_lambda, epochs=cfg.svm_epochs,
                     seed=cfg.seed)
     # saved weights sum to 1 as far as floats allow, and load as saved
@@ -181,7 +189,6 @@ def train_models(train: FeatureSet, cfg: PipelineConfig) -> dict:
 
 
 def _forest_of(model):
-    from .models import RandomForest
     if isinstance(model, RandomForest):
         return model
     if isinstance(model, EnsembleModel):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .dsp import hann_window
-from .errors import LengthMismatch, ProfileMismatch, TooShortForProfile
+from .errors import LengthMismatch, TooShortForProfile
 
 DEFAULT_ALPHA = 2.0
 DEFAULT_BETA = 0.01
@@ -82,24 +82,21 @@ def spectral_subtract(
     profile: NoiseProfile,
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
-    n_fft: int = 512,
 ) -> AudioBuffer:
     """Per-frame magnitude subtraction with over-subtraction and floor.
 
     M'[k] = max(M[k] - alpha * N[k], beta * M[k]), applied as the real gain
-    M'/M so the phase is kept. Hann frames of n_fft at hop n_fft/2 over the
-    input padded with hop zeros in front and n_fft behind put every sample in
-    the COLA-exact interior. The overlap-add adds all first half frames, then
-    all second half frames one hop later, into zeros: per sample the same
-    0 + a + b as adding frame by frame.
+    M'/M so the phase is kept. Hann frames of the profile's n_fft at hop
+    n_fft/2 over the input padded with hop zeros in front and n_fft behind
+    put every sample in the COLA-exact interior. The overlap-add adds all
+    first half frames, then all second half frames one hop later, into
+    zeros: per sample the same 0 + a + b as adding frame by frame.
     """
-    if profile.n_fft != n_fft:
-        raise ProfileMismatch(
-            f"profile n_fft {profile.n_fft} != configured n_fft {n_fft}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
+    n_fft = profile.n_fft
     hop = n_fft // 2
     padded = np.concatenate([np.zeros(hop), buffer.samples, np.zeros(n_fft)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]

@@ -367,6 +367,21 @@ def _model(kind, mutate):
     return content
 
 
+def _pcm16_wav(n):
+    """The bytes of a mono PCM16 WAV at SR holding n samples."""
+    payload = struct.pack(f"<{n}h", *range(n))
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SR, 2 * SR, 2, 16)
+    body = b"WAVE" + fmt + b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _short_segment_manifest(directory):
+    """A segment manifest naming one WAV shorter than a 400-sample frame."""
+    seg = directory / "c7_seg000.wav"
+    seg.write_bytes(_pcm16_wav(100))
+    return f"clip_id,path,label\nc7_seg000,{seg},normal\n"
+
+
 def _member_1(**changes):
     return _model("ensemble",
                   lambda doc: doc["members"][1]["model"].update(changes))
@@ -374,8 +389,8 @@ def _member_1(**changes):
 
 # case -> (command, its input file's content or None, flags, exit code,
 # fragments the error names; {file} stands for the input file). A pipeline's
-# input is its --config file; a manifest, feature table or model is the
-# input of extract, train or evaluate.
+# input is its --config file; a manifest, feature table, model or WAV is
+# the input of extract, train, evaluate or render.
 BAD_INPUT = {
     "snr_db_nan": ("pipeline", None, ["--snr-db", "nan"], 2,
                    ["'snr_db'", "nan"]),
@@ -408,6 +423,16 @@ BAD_INPUT = {
     "features_long_cell": ("train", f"clip_id,label,a\nc0,normal,{LONG}\n",
                            [], 1, ["{file}", "line 2", "field limit"]),
     "manifest_not_utf8": ("extract", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
+    "segment_shorter_than_frame_extract": (
+        "extract", _short_segment_manifest, [], 1,
+        ["clip 'c7_seg000'", "c7_seg000.wav",
+         "need at least 400 samples, got 100"]),
+    "clip_shorter_than_frame_spectrum": (
+        "render", _pcm16_wav(100), ["--kind", "spectrum"], 1,
+        ["{file}", "need at least 400 samples", "got 100"]),
+    "clip_shorter_than_frame_spectrogram": (
+        "render", _pcm16_wav(100), ["--kind", "spectrogram"], 1,
+        ["{file}", "need at least 400 samples", "got 100"]),
     "manifest_long_path": ("extract",
                            f"clip_id,path,label\nc0,{LONG}.wav,normal\n", [],
                            1, ["{file}", "line 2", "field limit"]),
@@ -492,7 +517,8 @@ BAD_INPUT = {
          "no test rows"]),
 }
 INPUT_FLAG = {"pipeline": "--config", "train": "--features",
-              "extract": "--manifest", "evaluate": "--model"}
+              "extract": "--manifest", "evaluate": "--model",
+              "render": "--clip"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from audioanom.errors import ClassTooSmall, EmptyMatrix, LabelOutOfRange, LengthMismatch
 from audioanom.evaluate import (
@@ -250,3 +254,28 @@ def test_report_four_decimal_formatting():
     doc = report_to_dict(report)
     assert doc["accuracy"] == "0.9680"
     assert report_from_dict(doc).accuracy == pytest.approx(0.968)
+
+
+@st.composite
+def reports(draw):
+    """A report of a random 2-3-class matrix holding at least one row, with
+    any importances, config echo and seed."""
+    k = draw(st.integers(2, 3))
+    names = draw(st.lists(st.text(), min_size=k, max_size=k, unique=True))
+    counts = np.array(draw(st.lists(st.integers(0, 10**6), min_size=k * k,
+                                    max_size=k * k))).reshape(k, k)
+    counts[draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))] += 1
+    top10 = draw(st.none() | st.lists(st.tuples(st.text(), st.floats(0, 1)),
+                                      max_size=10))
+    echo = draw(st.dictionaries(st.text(), st.none() | st.booleans()
+                                | st.integers() | st.text()
+                                | st.floats(allow_nan=False), max_size=4))
+    return metrics(ConfusionMatrix(counts, tuple(names)),
+                   importance_top10=top10, config_echo=echo,
+                   seed=draw(st.integers(0, 2**64)))
+
+
+@given(reports())
+def test_report_json_round_trip(report):
+    d = report_to_dict(report)
+    assert report_to_dict(report_from_dict(json.loads(json.dumps(d)))) == d

@@ -9,11 +9,9 @@ from audioanom.errors import (ConfigError, EmptyDataset, MalformedModel,
                               NonFiniteFeature, NotBinary, SchemaMismatch)
 from audioanom.features import FeatureSet, FeatureVector
 from audioanom.models import (
-    DecisionTree,
     EnsembleModel,
     LinearSvm,
     RandomForest,
-    TreeParams,
     feature_importance,
     model_from_dict,
     load_model,
@@ -38,13 +36,19 @@ def make_set(X, labels, class_names=("A", "B"), feature_names=None):
     return FeatureSet(vectors, feature_names, tuple(class_names))
 
 
+def one_tree(forest, tree):
+    """A one-tree forest of `tree` over the forest's features and classes."""
+    return RandomForest([tree], forest.feature_names, forest.class_names, 1,
+                        0, forest.importances)
+
+
 # --- train_tree ---
 
 def test_tree_pure_node_is_single_leaf():
     data = make_set([[0.0], [1.0], [2.0]], ["A", "A", "A"])
-    tree = train_tree(data)
-    assert len(tree.nodes) == 1
-    np.testing.assert_array_equal(tree.nodes[0]["proba"], [1.0, 0.0])
+    nodes = train_tree(data).trees[0]["nodes"]
+    assert len(nodes) == 1
+    np.testing.assert_array_equal(nodes[0]["proba"], [1.0, 0.0])
 
 
 def test_tree_single_split_midpoint():
@@ -52,7 +56,7 @@ def test_tree_single_split_midpoint():
     # only 1.5 yields two pure children (gain 0.5), so it must be chosen
     data = make_set([[0.0], [1.0], [2.0], [3.0]], ["A", "A", "B", "B"])
     tree = train_tree(data)
-    root = tree.nodes[0]
+    root = tree.trees[0]["nodes"][0]
     assert root["feature"] == 0
     assert root["threshold"] == pytest.approx(1.5)
     # a row exactly on the threshold goes left
@@ -62,9 +66,9 @@ def test_tree_single_split_midpoint():
 
 def test_tree_conflicting_labels_leaf_frequencies():
     data = make_set([[1.0], [1.0], [1.0], [1.0]], ["A", "A", "A", "B"])
-    tree = train_tree(data)
-    assert len(tree.nodes) == 1
-    np.testing.assert_allclose(tree.nodes[0]["proba"], [0.75, 0.25])
+    nodes = train_tree(data).trees[0]["nodes"]
+    assert len(nodes) == 1
+    np.testing.assert_allclose(nodes[0]["proba"], [0.75, 0.25])
 
 
 def test_tree_empty_dataset():
@@ -77,7 +81,7 @@ def test_tree_leaf_probabilities_sum_to_one():
     X = rng.normal(size=(50, 4))
     labels = ["A" if rng.random() < 0.5 else "B" for _ in range(50)]
     tree = train_tree(make_set(X, labels))
-    for node in tree.nodes:
+    for node in tree.trees[0]["nodes"]:
         if "proba" in node:
             assert sum(node["proba"]) == pytest.approx(1.0, abs=1e-9)
 
@@ -107,7 +111,7 @@ def test_tree_identical_columns_split_on_lower_feature():
     # feature 0 is noise; 1 and 3 are the same informative column
     X = np.stack([rng.normal(size=40), x, rng.normal(size=40), x], axis=1)
     tree = train_tree(make_set(X, labels))
-    assert tree.nodes[0]["feature"] == 1
+    assert tree.trees[0]["nodes"][0]["feature"] == 1
 
 
 def test_tree_equal_gini_thresholds_pick_lower():
@@ -115,16 +119,16 @@ def test_tree_equal_gini_thresholds_pick_lower():
     # impure child of three (A, B, B vs A, A, B): equal child gini
     data = make_set([[0.0], [1.0], [2.0], [3.0]], ["B", "A", "A", "B"])
     tree = train_tree(data)
-    assert tree.nodes[0]["threshold"] == 0.5
+    assert tree.trees[0]["nodes"][0]["threshold"] == 0.5
 
 
-def _leaf_of(tree, X):
+def _leaf_of(nodes, X):
     """Index of the leaf each row of X reaches, walked one row at a time."""
     out = []
     for x in X:
         node = 0
-        while "proba" not in tree.nodes[node]:
-            split = tree.nodes[node]
+        while "proba" not in nodes[node]:
+            split = nodes[node]
             go_left = x[split["feature"]] <= split["threshold"]
             node = split["left"] if go_left else split["right"]
         out.append(node)
@@ -136,9 +140,10 @@ def test_tree_leaves_hold_min_samples_leaf(min_leaf):
     rng = np.random.default_rng(38)
     X = np.round(rng.normal(size=(60, 3)), 1)
     labels = ["A" if rng.random() < 0.5 else "B" for _ in range(60)]
-    tree = train_tree(make_set(X, labels), TreeParams(None, min_leaf))
-    sizes = np.bincount(_leaf_of(tree, X), minlength=len(tree.nodes))
-    leaves = [i for i, node in enumerate(tree.nodes) if "proba" in node]
+    nodes = train_tree(make_set(X, labels),
+                       min_samples_leaf=min_leaf).trees[0]["nodes"]
+    sizes = np.bincount(_leaf_of(nodes, X), minlength=len(nodes))
+    leaves = [i for i, node in enumerate(nodes) if "proba" in node]
     assert len(leaves) > 1
     assert all(sizes[i] >= min_leaf for i in leaves)
 
@@ -166,9 +171,8 @@ def test_forest_reduces_to_single_tree():
     forest = train_forest(data, n_trees=1, mtry=4, seed=9)
     idx = np.random.default_rng([9, 0]).integers(0, 30, 30)
     tree = train_tree(data.subset(idx))
-    assert forest.trees[0].nodes == tree.nodes
-    np.testing.assert_array_equal(forest.trees[0].importances,
-                                  tree.importances)
+    assert forest.trees == tree.trees
+    np.testing.assert_array_equal(forest.importances, tree.importances)
 
 
 def test_forest_mtry_beyond_features_is_a_config_error():
@@ -194,15 +198,15 @@ def test_forest_proba_is_mean_of_trees():
     labels = ["A" if rng.random() < 0.6 else "B" for _ in range(50)]
     forest = train_forest(make_set(X, labels), n_trees=15, mtry=2, seed=2)
     X_test = rng.normal(size=(20, 4))
-    expected = np.mean([t.predict_proba_values(X_test) for t in forest.trees],
-                       axis=0)
+    expected = np.mean([one_tree(forest, t).predict_proba_values(X_test)
+                        for t in forest.trees], axis=0)
     np.testing.assert_allclose(forest.predict_proba_values(X_test), expected)
 
 
 def test_forest_pure_leaves_zero_importance():
     data = make_set([[1.0], [1.0]], ["A", "A"])
     forest = train_forest(data, n_trees=3, mtry=1, seed=0)
-    assert all(len(t.nodes) == 1 for t in forest.trees)
+    assert all(len(t["nodes"]) == 1 for t in forest.trees)
     np.testing.assert_array_equal(forest.importances, 0.0)
 
 
@@ -293,7 +297,7 @@ def test_forest_three_of_four_trees():
     # trained pure-leaf trees voting 3:1 average to [0.25, 0.75]
     trees = []
     for label in ["B", "B", "B", "A"]:
-        trees.append(train_tree(make_set([[0.0]], [label])))
+        trees += train_tree(make_set([[0.0]], [label])).trees
     forest = RandomForest(trees, ("f0",), ("A", "B"), 1, 0, np.zeros(1))
     np.testing.assert_allclose(forest.predict_proba_values(np.array([[0.0]])),
                                [[0.25, 0.75]])
@@ -385,7 +389,8 @@ def random_forests(draw, n_features=None, n_classes=None):
     for _ in range(draw(st.integers(1, 6))):
         nodes = []
         grow(nodes, draw(st.integers(0, 4)))
-        trees.append(DecisionTree(nodes, n_classes, TreeParams()))
+        trees.append({"nodes": nodes, "n_classes": n_classes,
+                      "max_depth": None, "min_samples_leaf": 1})
     forest = RandomForest(trees, tuple(f"f{i}" for i in range(n_features)),
                           tuple("ABC"[:n_classes]), 1, 0,
                           np.zeros(n_features))
@@ -401,7 +406,7 @@ def random_forests(draw, n_features=None, n_classes=None):
 @given(random_forests())
 def test_forest_kernel_matches_row_walk_and_json_round_trip(case):
     forest, X = case
-    trees = [t.nodes for t in forest.trees]
+    trees = [t["nodes"] for t in forest.trees]
     expected = np.array([sum(walk_tree_nodes(nodes, x) for nodes in trees)
                          / len(trees) for x in X])
     P = forest.predict_proba_values(X)
@@ -411,7 +416,7 @@ def test_forest_kernel_matches_row_walk_and_json_round_trip(case):
     np.testing.assert_array_equal(back.predict_proba_values(X), P)
     for tree, nodes in zip(forest.trees, trees):
         np.testing.assert_array_equal(
-            tree.predict_proba_values(X),
+            one_tree(forest, tree).predict_proba_values(X),
             np.array([walk_tree_nodes(nodes, x) for x in X]).reshape(P.shape))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from audioanom.audio_io import AudioBuffer
-from audioanom.errors import LengthMismatch, ProfileMismatch, TooShortForProfile
+from audioanom.errors import LengthMismatch, TooShortForProfile
 from audioanom.preprocess import (
     PAD_DROP_LAST,
     PAD_ZERO_LAST,
@@ -134,11 +134,19 @@ def test_spectral_subtract_matches_loop_reference(n):
                       <= 1e-12 * np.maximum(1.0, np.abs(x)))
 
 
-def test_profile_mismatch():
-    buf = AudioBuffer(np.zeros(SR), SR)
-    profile = estimate_noise_profile(buf, 250.0, 256)
-    with pytest.raises(ProfileMismatch):
-        spectral_subtract(buf, profile, n_fft=512)
+def test_spectral_subtract_uses_profile_n_fft():
+    # a 256-point profile makes 256-point frames, not the default 512
+    rng = np.random.default_rng(256)
+    x = rng.normal(0, 0.3, size=SR // 4)
+    buf = AudioBuffer(x, SR)
+    profile = estimate_noise_profile(buf, 100.0, 256)
+    assert profile.mean_magnitude.shape == (129,)
+    out = spectral_subtract(buf, profile, alpha=2.0, beta=0.01)
+    expected = loop_spectral_subtract(x, profile.mean_magnitude, 2.0, 0.01,
+                                      256)
+    assert len(out) == len(x)
+    assert np.all(np.abs(out.samples - expected)
+                  <= 1e-12 * np.maximum(1.0, np.abs(x)))
 
 
 # --- nlms_cancel ---
