@@ -20,8 +20,6 @@ from .errors import (
     UnsupportedEncoding,
 )
 
-DEFAULT_SAMPLE_RATE = 16000
-
 _FMT_PCM = 1
 _FMT_FLOAT = 3
 _FMT_EXTENSIBLE = 0xFFFE

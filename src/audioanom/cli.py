@@ -41,7 +41,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 def cmd_synth(args) -> int:
-    rows = generate_corpus(pl.corpus_spec(_load_config(args)), args.out)
+    rows = generate_corpus(_load_config(args), args.out)
     print(f"wrote {len(rows)} clips to {args.out}")
     return 0
 

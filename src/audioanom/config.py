@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
-from .synthgen import LEAD_SILENCE_S
 
 CONFIG_FORMAT_VERSION = 1
+LEAD_SILENCE_S = 0.3   # noise-only lead of a synthetic clip
+PAD_POLICIES = ("zero-pad-last", "drop-last")
+NORMALIZE_MODES = ("peak", "rms")
 
 
 @dataclass(frozen=True)   # a cache key of features._mel_bank
@@ -64,8 +66,8 @@ class PipelineConfig:
     seed: int = 42
     n_per_class: int = 100
     clip_s: float = 2.0
-    snr_db: float = 20.0
-    jitter_sigma_hz: float = 0.3
+    snr_db: float = 20.0          # normal-class SNR; anomalous gets 6 dB less
+    jitter_sigma_hz: float = 0.3  # per-sample random-walk step on f0
 
     def validate(self) -> "PipelineConfig":
         for key, (kind, optional) in FIELD_TYPES.items():
@@ -93,13 +95,13 @@ class PipelineConfig:
             (self.alpha >= 0, "alpha must be >= 0"),
             (0 <= self.beta <= 1, "beta must be in [0, 1]"),
             (self.lead_ms > 0, "lead_ms must be positive"),
-            (self.normalize_mode in ("peak", "rms"),
-             "normalize_mode must be peak or rms"),
+            (self.normalize_mode in NORMALIZE_MODES,
+             "normalize_mode must be " + " or ".join(NORMALIZE_MODES)),
             (self.normalize_target > 0, "normalize_target must be positive"),
             (self.seg_len_s * self.sample_rate >= self.frame_len,
              "seg_len_s must hold at least frame_len samples"),
-            (self.pad_policy in ("zero-pad-last", "drop-last"),
-             "pad_policy must be zero-pad-last or drop-last"),
+            (self.pad_policy in PAD_POLICIES,
+             "pad_policy must be " + " or ".join(PAD_POLICIES)),
             (1 <= self.n_coeffs <= self.n_mels,
              "need 1 <= n_coeffs <= n_mels"),
             (0 <= self.fmin < fmax <= self.sample_rate / 2,

@@ -13,10 +13,6 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .errors import NFftNotPowerOfTwo
 
-DEFAULT_FRAME_LEN = 400   # 25 ms @ 16 kHz
-DEFAULT_HOP = 160         # 10 ms @ 16 kHz
-DEFAULT_N_FFT = 512
-
 LOG_FLOOR = 1e-10
 
 
@@ -25,9 +21,6 @@ class FrameMatrix:
     """Windowed (or raw) analysis frames: shape (num_frames, frame_len)."""
 
     frames: np.ndarray
-    hop: int
-    frame_len: int
-    sample_rate: int
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -60,12 +53,8 @@ def idft(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum).real
 
 
-def frame_signal(
-    buffer: AudioBuffer,
-    frame_len: int = DEFAULT_FRAME_LEN,
-    hop: int = DEFAULT_HOP,
-    window: bool = True,
-) -> FrameMatrix:
+def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int,
+                 window: bool = True) -> FrameMatrix:
     """Slice a signal into fixed-stride frames, optionally Hann-windowed.
 
     Frame i covers samples [i*hop, i*hop + frame_len); the trailing partial
@@ -83,15 +72,14 @@ def frame_signal(
         frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
         if window:
             frames = frames * hann_window(frame_len)[None, :]
-    return FrameMatrix(frames, hop=hop, frame_len=frame_len,
-                       sample_rate=buffer.sample_rate)
+    return FrameMatrix(frames)
 
 
-def power_spectrogram(fm: FrameMatrix,
-                      n_fft: int = DEFAULT_N_FFT) -> np.ndarray:
+def power_spectrogram(fm: FrameMatrix, n_fft: int) -> np.ndarray:
     """One-sided power spectra |rfft|^2 of the frames over bins
     0 .. n_fft/2: shape (num_frames, n_fft // 2 + 1)."""
     _check_n_fft(n_fft)
-    if fm.frame_len > n_fft:
-        raise ValueError(f"frame_len {fm.frame_len} exceeds n_fft {n_fft}")
+    if fm.frames.shape[1] > n_fft:
+        raise ValueError(f"frame_len {fm.frames.shape[1]} exceeds n_fft "
+                         f"{n_fft}")
     return np.abs(np.fft.rfft(fm.frames, n=n_fft, axis=1)) ** 2

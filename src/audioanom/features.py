@@ -80,7 +80,7 @@ class CentroidResult(NamedTuple):
     silent: np.ndarray
 
 
-def pre_emphasis(buffer: AudioBuffer, coeff: float = 0.97) -> AudioBuffer:
+def pre_emphasis(buffer: AudioBuffer, coeff: float) -> AudioBuffer:
     """First-order high-pass: y[n] = x[n] - coeff * x[n-1], y[0] = x[0]."""
     x = buffer.samples
     if len(x) == 0 or coeff == 0.0:
@@ -194,7 +194,7 @@ def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
     return CentroidResult(hz, silent=np.asarray(silent))
 
 
-def feature_schema(n_coeffs: int = 13) -> tuple:
+def feature_schema(n_coeffs: int) -> tuple:
     names = [f"MFCC_mean_{i}" for i in range(1, n_coeffs + 1)]
     names += [f"MFCC_std_{i}" for i in range(1, n_coeffs + 1)]
     names += ["ZCR_mean", "ZCR_std", "Centroid_mean", "Centroid_std"]

@@ -301,7 +301,7 @@ def train_tree(data: FeatureSet, max_depth: Optional[int] = None,
                         _normalized(importances))
 
 
-def train_forest(data: FeatureSet, n_trees: int = 100,
+def train_forest(data: FeatureSet, n_trees: int,
                  mtry: Optional[int] = None,
                  max_depth: Optional[int] = None, min_samples_leaf: int = 1,
                  seed: int = 0) -> RandomForest:
@@ -387,7 +387,7 @@ def svm_objective(model: LinearSvm, X: np.ndarray, y_pm: np.ndarray) -> float:
     return 0.5 * model.lam * float(model.weights @ model.weights) + hinge
 
 
-def train_svm(data: FeatureSet, lam: float = 1e-3, epochs: int = 50,
+def train_svm(data: FeatureSet, lam: float, epochs: int,
               seed: int = 0) -> LinearSvm:
     """Stochastic subgradient descent on the hinge objective, step 1/(lam t).
 

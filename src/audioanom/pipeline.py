@@ -39,13 +39,7 @@ from .models import (
 )
 from .preprocess import (estimate_noise_profile, n_segments, normalize, segment,
                          spectral_subtract)
-from .synthgen import CorpusSpec, render_clip, write_manifest
-
-
-def corpus_spec(cfg: PipelineConfig) -> CorpusSpec:
-    return CorpusSpec(n_per_class=cfg.n_per_class, seed=cfg.seed,
-                      sample_rate=cfg.sample_rate, clip_s=cfg.clip_s,
-                      snr_db=cfg.snr_db, jitter_sigma_hz=cfg.jitter_sigma_hz)
+from .synthgen import render_clip, write_manifest
 
 
 def preprocess_clip(buf: AudioBuffer, cfg: PipelineConfig):
@@ -121,7 +115,7 @@ def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:
     segment WAVs. Returns its manifest row, its segment rows and their
     feature vectors, which equal the file-based stages' because every stage
     reads the samples its WAVs hold."""
-    clip_id, label, buf = render_clip(corpus_spec(cfg), i)
+    clip_id, label, buf = render_clip(cfg, i)
     path = os.path.join(corpus_dir, clip_id + ".wav")
     write_wav(buf, path)
     segments = preprocess_clip(quantize_pcm16(buf), cfg)

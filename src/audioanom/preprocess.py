@@ -14,19 +14,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .config import PAD_POLICIES
 from .dsp import hann_window
 from .errors import LengthMismatch, TooShortForProfile
 
-DEFAULT_ALPHA = 2.0
-DEFAULT_BETA = 0.01
-DEFAULT_LEAD_MS = 250.0
 DEFAULT_MU = 0.5
 DEFAULT_TAPS = 32
-DEFAULT_SEG_LEN_S = 1.0
 NLMS_EPS = 1e-8
 
-PAD_ZERO_LAST = "zero-pad-last"
-PAD_DROP_LAST = "drop-last"
+PAD_ZERO_LAST, PAD_DROP_LAST = PAD_POLICIES
 
 
 @dataclass(frozen=True)
@@ -54,15 +50,10 @@ class NormalizeResult(NamedTuple):
 @dataclass(frozen=True)
 class SegmentSet:
     segments: list
-    seg_len: int
-    pad_policy: str
 
 
-def estimate_noise_profile(
-    buffer: AudioBuffer,
-    lead_ms: float = DEFAULT_LEAD_MS,
-    n_fft: int = 512,
-) -> NoiseProfile:
+def estimate_noise_profile(buffer: AudioBuffer, lead_ms: float,
+                           n_fft: int) -> NoiseProfile:
     """Mean per-bin magnitude over all full frames in the leading window."""
     lead = int(round(lead_ms / 1000.0 * buffer.sample_rate))
     hop = n_fft // 2
@@ -77,12 +68,8 @@ def estimate_noise_profile(
                         source_frames=len(frames))
 
 
-def spectral_subtract(
-    buffer: AudioBuffer,
-    profile: NoiseProfile,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-) -> AudioBuffer:
+def spectral_subtract(buffer: AudioBuffer, profile: NoiseProfile,
+                      alpha: float, beta: float) -> AudioBuffer:
     """Per-frame magnitude subtraction with over-subtraction and floor.
 
     M'[k] = max(M[k] - alpha * N[k], beta * M[k]), applied as the real gain
@@ -152,11 +139,8 @@ def nlms_cancel(
     return AudioBuffer(e, primary.sample_rate), state
 
 
-def normalize(
-    buffer: AudioBuffer,
-    mode: str = "peak",
-    target: float = 0.99,
-) -> NormalizeResult:
+def normalize(buffer: AudioBuffer, mode: str,
+              target: float) -> NormalizeResult:
     """Scale to a target peak or RMS level. Silence passes through, flagged."""
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
@@ -185,15 +169,12 @@ def n_segments(n_samples: int, seg_len: int, pad_policy: str) -> int:
     return full + (pad_policy == PAD_ZERO_LAST and (rem > 0 or n_samples == 0))
 
 
-def segment(
-    buffer: AudioBuffer,
-    seg_len_s: float = DEFAULT_SEG_LEN_S,
-    pad_policy: str = PAD_ZERO_LAST,
-) -> SegmentSet:
+def segment(buffer: AudioBuffer, seg_len_s: float,
+            pad_policy: str) -> SegmentSet:
     """Cut into consecutive non-overlapping fixed-length segments."""
     if seg_len_s <= 0:
         raise ValueError(f"seg_len_s must be positive, got {seg_len_s}")
-    if pad_policy not in (PAD_ZERO_LAST, PAD_DROP_LAST):
+    if pad_policy not in PAD_POLICIES:
         raise ValueError(f"unknown pad policy {pad_policy!r}")
     seg_len = int(round(seg_len_s * buffer.sample_rate))
     x = buffer.samples
@@ -204,4 +185,4 @@ def segment(
         tail = x[full * seg_len:]
         tail = np.concatenate([tail, np.zeros(seg_len - len(tail))])
         segs.append(AudioBuffer(tail, buffer.sample_rate))
-    return SegmentSet(segs, seg_len=seg_len, pad_policy=pad_policy)
+    return SegmentSet(segs)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer, write_wav
+from .config import LEAD_SILENCE_S, PipelineConfig
 from .errors import MalformedManifest
 
 
@@ -30,23 +30,11 @@ N_HARMONICS = 3
 WOBBLE_MIN_HZ = 2.0
 WOBBLE_MAX_HZ = 6.0
 WOBBLE_DEPTH = 0.5
-LEAD_SILENCE_S = 0.3   # noise-only lead for noise profiling
 
-
-@dataclass(frozen=True)
-class CorpusSpec:
-    n_per_class: int = 100
-    seed: int = 42
-    sample_rate: int = 16000
-    clip_s: float = 2.0
-    snr_db: float = 20.0          # normal-class SNR; anomalous gets 6 dB less
-    jitter_sigma_hz: float = 0.3  # per-sample random-walk step on f0
-
-    def __post_init__(self):
-        if self.n_per_class < 1:
-            raise ValueError("n_per_class must be >= 1")
-        if self.clip_s <= 0:
-            raise ValueError("clip_s must be positive")
+# benchmarks/bench_setup.py builds its corpora with
+# generate_corpus(CorpusSpec(n_per_class=..., seed=...), ...); the config
+# has the same field names and defaults, so those corpora are unchanged
+CorpusSpec = PipelineConfig
 
 
 def _reflect(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -56,16 +44,16 @@ def _reflect(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + np.where(folded <= span, folded, 2 * span - folded)
 
 
-def _synthesize(spec: CorpusSpec, label: str,
+def _synthesize(cfg: PipelineConfig, label: str,
                 rng: np.random.Generator) -> AudioBuffer:
-    sr = spec.sample_rate
-    n = int(round(spec.clip_s * sr))
+    sr = cfg.sample_rate
+    n = int(round(cfg.clip_s * sr))
     n_lead = int(round(LEAD_SILENCE_S * sr))
     t_len = n - n_lead
 
     f0_start = rng.uniform(F0_MIN_HZ, F0_MAX_HZ)
     if label == "anomalous":
-        walk = np.cumsum(rng.normal(0.0, spec.jitter_sigma_hz, size=t_len))
+        walk = np.cumsum(rng.normal(0.0, cfg.jitter_sigma_hz, size=t_len))
         f0 = _reflect(f0_start + walk, F0_MIN_HZ, F0_MAX_HZ)
     else:
         f0 = np.full(t_len, f0_start)
@@ -87,7 +75,7 @@ def _synthesize(spec: CorpusSpec, label: str,
             2.0 * np.pi * wobble_hz * t + wobble_phase)
 
     tone_rms = np.sqrt(np.mean(tone ** 2))
-    snr_db = spec.snr_db - (6.0 if label == "anomalous" else 0.0)
+    snr_db = cfg.snr_db - (6.0 if label == "anomalous" else 0.0)
     noise_rms = tone_rms / (10.0 ** (snr_db / 20.0))
     noise = rng.normal(0.0, noise_rms, size=n)
 
@@ -100,21 +88,22 @@ def _synthesize(spec: CorpusSpec, label: str,
     return AudioBuffer(x, sr)
 
 
-def render_clip(spec: CorpusSpec, i: int) -> tuple:
+def render_clip(cfg: PipelineConfig, i: int) -> tuple:
     """Clip i of the corpus as (clip_id, label, buffer); even indices are
     normal, odd anomalous."""
     label = ("normal", "anomalous")[i % 2]
-    buf = _synthesize(spec, label, np.random.default_rng([spec.seed, i]))
+    buf = _synthesize(cfg, label, np.random.default_rng([cfg.seed, i]))
     return f"clip_{i:04d}_{label}", label, buf
 
 
-def generate_corpus(spec: CorpusSpec, out_dir) -> list:
+def generate_corpus(cfg: PipelineConfig, out_dir) -> list:
     """Write 2 * n_per_class WAVs plus manifest.csv; returns the manifest
-    rows as (clip_id, path, label)."""
+    rows as (clip_id, path, label). ConfigError names an invalid setting."""
+    cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for i in range(2 * spec.n_per_class):
-        clip_id, label, buf = render_clip(spec, i)
+    for i in range(2 * cfg.n_per_class):
+        clip_id, label, buf = render_clip(cfg, i)
         path = os.path.join(out_dir, clip_id + ".wav")
         write_wav(buf, path)
         rows.append((clip_id, path, label))
@@ -137,7 +126,9 @@ def write_manifest(rows, path) -> None:
 
 def load_manifest(path) -> list:
     """Read a manifest CSV; relative paths resolve against its directory.
-    MalformedManifest names the file and the line or clip of a fault."""
+    MalformedManifest names the file and the line of a fault: a row that is
+    not clip_id,path,label, or a clip id that is repeated or holds a line
+    break, a path separator or NUL, or a path that holds NUL."""
     base = os.path.dirname(os.path.abspath(path))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -145,7 +136,7 @@ def load_manifest(path) -> list:
     except UnicodeDecodeError as exc:
         raise MalformedManifest(f"{path}: not UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
-    rows = []
+    rows, seen = [], {}   # clip id -> its line
     try:
         header = next(reader, None)
         if header is None:
@@ -156,17 +147,28 @@ def load_manifest(path) -> list:
         for row in reader:
             if not row:
                 continue
+            at = f"{path}: line {reader.line_num}"
             if len(row) != 3:
-                raise MalformedManifest(
-                    f"{path}: line {reader.line_num}: clip {row[0]!r} has "
-                    f"{len(row)} fields, not clip_id,path,label")
+                raise MalformedManifest(f"{at}: clip {row[0]!r} has "
+                                        f"{len(row)} fields, not "
+                                        "clip_id,path,label")
             clip_id, file_path, label = row
             # a line break in an id or label would end a row of the CSVs
             # the later stages write
             if any(c in clip_id + label for c in "\r\n"):
-                raise MalformedManifest(
-                    f"{path}: line {reader.line_num}: clip id {clip_id!r} "
-                    f"or label {label!r} holds a line break")
+                raise MalformedManifest(f"{at}: clip id {clip_id!r} or label "
+                                        f"{label!r} holds a line break")
+            # preprocess writes <out>/<clip_id>_segNNN.wav: an id must name
+            # one file of its own inside --out
+            if any(c and c in clip_id for c in ("/", os.sep, os.altsep, "\0")):
+                raise MalformedManifest(f"{at}: clip id {clip_id!r} holds a "
+                                        "path separator or NUL")
+            if clip_id in seen:
+                raise MalformedManifest(f"{at}: clip id {clip_id!r} repeats "
+                                        f"line {seen[clip_id]}")
+            if "\0" in file_path:
+                raise MalformedManifest(f"{at}: path {file_path!r} holds NUL")
+            seen[clip_id] = reader.line_num
             rows.append((clip_id, os.path.join(base, file_path), label))
     except csv.Error as exc:   # such as a field beyond csv's size limit
         raise MalformedManifest(

@@ -4,7 +4,8 @@ from the program.
 The benchmark traces the program from outside: `bench_trace.Tracer` wraps
 the public functions of each module and reads counts from some results
 (`FrameMatrix.frames`, `SegmentSet.segments`, a forest's trees), and
-`bench_setup.extract_corpus` calls the stepwise pipeline functions by name.
+`bench_setup.extract_corpus` calls the stepwise pipeline functions by name
+and builds its corpus with `synthgen.CorpusSpec(n_per_class=..., seed=...)`.
 A change that renames one of these or changes such a result's shape fails
 here, in the unit tests, rather than in a benchmark run.
 """

@@ -375,11 +375,15 @@ def _pcm16_wav(n):
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
-def _short_segment_manifest(directory):
-    """A segment manifest naming one WAV shorter than a 400-sample frame."""
-    seg = directory / "c7_seg000.wav"
-    seg.write_bytes(_pcm16_wav(100))
-    return f"clip_id,path,label\nc7_seg000,{seg},normal\n"
+def _manifest(*rows):
+    """A manifest of `rows`, in which {wav} names a WAV of 100 samples,
+    shorter than one 400-sample frame, and {dir} the directory holding it."""
+    def content(directory):
+        wav = directory / "short.wav"
+        wav.write_bytes(_pcm16_wav(100))
+        return "clip_id,path,label\n" + "".join(
+            row.format(wav=wav, dir=directory) + "\n" for row in rows)
+    return content
 
 
 def _member_1(**changes):
@@ -424,8 +428,8 @@ BAD_INPUT = {
                            [], 1, ["{file}", "line 2", "field limit"]),
     "manifest_not_utf8": ("extract", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
     "segment_shorter_than_frame_extract": (
-        "extract", _short_segment_manifest, [], 1,
-        ["clip 'c7_seg000'", "c7_seg000.wav",
+        "extract", _manifest("c7_seg000,{wav},normal"), [], 1,
+        ["clip 'c7_seg000'", "short.wav",
          "need at least 400 samples, got 100"]),
     "clip_shorter_than_frame_spectrum": (
         "render", _pcm16_wav(100), ["--kind", "spectrum"], 1,
@@ -443,6 +447,20 @@ BAD_INPUT = {
                              b'clip_id,path,label\nc0,x.wav,"nor\nmal"\n',
                              [], 1,
                              ["{file}", "line 3", "'nor\\nmal'", "line break"]),
+    "manifest_repeated_id": ("preprocess", _manifest(
+        "same,{wav},normal", "same,{wav},anomalous"), [], 1,
+        ["{file}", "line 3", "clip id 'same'", "repeats line 2"]),
+    "manifest_id_leaves_out": ("preprocess", _manifest(
+        "../escaped,{wav},normal"), [], 1,
+        ["{file}", "line 2", "'../escaped'", "path separator"]),
+    "manifest_absolute_id": ("preprocess", _manifest(
+        "{dir}/abs,{wav},normal"), [], 1,
+        ["{file}", "line 2", "/abs'", "path separator"]),
+    "manifest_nul_in_id": ("preprocess", _manifest("c\0,{wav},normal"), [],
+                           1, ["{file}", "line 2", "'c\\x00'", "NUL"]),
+    "manifest_nul_in_path": ("preprocess", _manifest("c0,{wav}\0,normal"),
+                             [], 1, ["{file}", "line 2", "\\x00'",
+                                     "holds NUL"]),
     "model_not_utf8": ("evaluate", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
     "svm_3_weights": ("evaluate", _model(
         "svm", lambda d: d.update(weights=d["weights"][:3])), [], 1,
@@ -517,8 +535,8 @@ BAD_INPUT = {
          "no test rows"]),
 }
 INPUT_FLAG = {"pipeline": "--config", "train": "--features",
-              "extract": "--manifest", "evaluate": "--model",
-              "render": "--clip"}
+              "preprocess": "--manifest", "extract": "--manifest",
+              "evaluate": "--model", "render": "--clip"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
@@ -548,6 +566,7 @@ def test_bad_input_exit_code_and_message(extracted, small_forest, tmp_path,
     for fragment in named:
         assert fragment.replace("{file}", str(path)) in err
     assert not out.exists()
+    assert set(os.listdir(tmp_path)) <= {"input"}   # nor anything beside it
 
 
 @pytest.mark.parametrize("command", ["preprocess", "extract", "train",
@@ -804,8 +823,10 @@ def test_every_config_field_is_read():
     import audioanom.cli
     import audioanom.features
     import audioanom.pipeline
+    import audioanom.synthgen
     read = set()
-    for module in (audioanom.cli, audioanom.features, audioanom.pipeline):
+    for module in (audioanom.cli, audioanom.features, audioanom.pipeline,
+                   audioanom.synthgen):
         with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         read |= {node.attr for node in ast.walk(tree)

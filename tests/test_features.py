@@ -30,7 +30,7 @@ from audioanom.features import (
 )
 
 from audioanom.pipeline import preprocess_clip
-from audioanom.synthgen import CorpusSpec, generate_corpus
+from audioanom.synthgen import generate_corpus
 
 from oracles import float_cells, mel_points_hz, naive_dct2_ortho, naive_mfcc
 
@@ -296,7 +296,7 @@ def test_centroid_scale_invariant_and_bounded():
 # --- extract_clip_features ---
 
 def test_schema_is_30_named_features():
-    names = feature_schema()
+    names = feature_schema(13)
     assert len(names) == 30
     assert "MFCC_mean_12" in names
     assert "MFCC_mean_5" in names
@@ -346,7 +346,7 @@ def _per_frame_reference(segment, cfg):
 
 
 def test_front_end_matches_per_frame_reference(tmp_path):
-    rows = generate_corpus(CorpusSpec(n_per_class=1, seed=31, clip_s=1.5),
+    rows = generate_corpus(PipelineConfig(n_per_class=1, seed=31, clip_s=1.5),
                            tmp_path)
     segments = []
     for _, path, _ in rows:
@@ -380,7 +380,7 @@ def test_extraction_deterministic():
 
 def test_featureset_csv_round_trip():
     rng = np.random.default_rng(28)
-    names = feature_schema()
+    names = feature_schema(13)
     vectors = []
     for i in range(5):
         label = "normal" if i % 2 == 0 else "anomalous"

@@ -223,7 +223,7 @@ def test_svm_separable_two_points():
 
 def test_svm_zero_epochs():
     data = make_set([[-1.0], [1.0]], ["A", "B"])
-    svm = train_svm(data, epochs=0)
+    svm = train_svm(data, lam=1e-3, epochs=0)
     np.testing.assert_array_equal(svm.weights, 0.0)
     assert svm.bias == 0.0
     x = FeatureVector(("f0",), np.array([0.3]), "c")
@@ -234,8 +234,9 @@ def test_svm_zero_epochs():
 def test_svm_standardization_invariant_under_duplication():
     X = [[-1.0, 2.0], [1.0, 0.0], [0.5, -1.0], [-0.5, 1.5]]
     labels = ["A", "B", "B", "A"]
-    svm1 = train_svm(make_set(X, labels), epochs=1)
-    svm2 = train_svm(make_set(X + X, labels + labels), epochs=1)
+    svm1 = train_svm(make_set(X, labels), lam=1e-3, epochs=1)
+    svm2 = train_svm(make_set(X + X, labels + labels), lam=1e-3,
+                     epochs=1)
     np.testing.assert_allclose(svm1.mean, svm2.mean)
     np.testing.assert_allclose(svm1.std, svm2.std)
 
@@ -244,12 +245,12 @@ def test_svm_rejects_multiclass():
     data = make_set([[0.0], [1.0], [2.0]], ["A", "B", "C"],
                     class_names=("A", "B", "C"))
     with pytest.raises(NotBinary):
-        train_svm(data)
+        train_svm(data, lam=1e-3, epochs=50)
 
 
 def test_svm_zero_variance_feature_gets_unit_std():
     data = make_set([[1.0, 5.0], [2.0, 5.0]], ["A", "B"])
-    svm = train_svm(data, epochs=1)
+    svm = train_svm(data, lam=1e-3, epochs=1)
     assert svm.std[1] == 1.0
 
 
@@ -278,7 +279,7 @@ def test_pure_leaf_forest_proba():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predict_proba_rejects_non_finite(bad):
     data = make_set([[0.0, 1.0], [1.0, 0.0]], ["A", "B"])
-    svm = train_svm(data, epochs=1, seed=0)
+    svm = train_svm(data, lam=1e-3, epochs=1, seed=0)
     rows = make_set([[0.0, 1.0], [1.0, bad]], ["A", "B"])
     with pytest.raises(NonFiniteFeature, match="'c1'.*'f1'"):
         predict_proba(svm, rows)
@@ -524,7 +525,7 @@ def test_vector_prediction_matches_featureset_row():
     labels = ["A" if x[0] - x[5] > 0 else "B" for x in X]
     data = make_set(X, labels)
     forest = train_forest(data, n_trees=5, seed=7)
-    svm = train_svm(data, epochs=10, seed=7)
+    svm = train_svm(data, lam=1e-3, epochs=10, seed=7)
     ens = EnsembleModel([(forest, 0.5), (svm, 0.5)])
     test = make_set(rng.normal(size=(25, 30)), ["A"] * 25)
     for model in (forest, svm, ens):
@@ -564,7 +565,7 @@ def test_model_round_trip_identical_predictions(tmp_path):
     labels = ["A" if x[0] - x[3] > 0 else "B" for x in X]
     data = make_set(X, labels)
     forest = train_forest(data, n_trees=5, mtry=2, seed=5)
-    svm = train_svm(data, epochs=20, seed=5)
+    svm = train_svm(data, lam=1e-3, epochs=20, seed=5)
     ens = EnsembleModel([(forest, 0.5), (svm, 0.5)])
     for model in (forest, svm, ens):
         path = tmp_path / "model.json"

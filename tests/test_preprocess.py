@@ -73,7 +73,7 @@ def test_alpha_zero_is_identity():
 def test_silence_in_silence_out():
     buf = AudioBuffer(np.zeros(SR), SR)
     profile = estimate_noise_profile(buf, 250.0, N_FFT)
-    out = spectral_subtract(buf, profile)
+    out = spectral_subtract(buf, profile, alpha=2.0, beta=0.01)
     np.testing.assert_allclose(out.samples, 0.0, atol=1e-12)
     assert np.all(np.isfinite(out.samples))
 

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from audioanom.audio_io import AudioBuffer, read_wav
+from audioanom.config import PipelineConfig
 from audioanom.dsp import frame_signal
+from audioanom.errors import ConfigError
 from audioanom.features import zero_crossing_rate
-from audioanom.synthgen import CorpusSpec, generate_corpus, load_manifest
+from audioanom.synthgen import generate_corpus, load_manifest
 
 
 def small_spec(**kwargs):
     defaults = dict(n_per_class=5, seed=42, clip_s=1.0)
     defaults.update(kwargs)
-    return CorpusSpec(**defaults)
+    return PipelineConfig(**defaults)
 
 
 def test_corpus_counts_and_manifest(tmp_path):
@@ -43,11 +45,14 @@ def test_samples_within_bounds(tmp_path):
         assert np.max(np.abs(buf.samples)) <= 0.95
 
 
-def test_invalid_spec_rejected():
-    with pytest.raises(ValueError):
-        CorpusSpec(n_per_class=0)
-    with pytest.raises(ValueError):
-        CorpusSpec(clip_s=0.0)
+def test_invalid_spec_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="n_per_class"):
+        PipelineConfig(n_per_class=0).validate()
+    with pytest.raises(ConfigError, match="0.3 s noise-only lead"):
+        PipelineConfig(clip_s=0.2).validate()
+    with pytest.raises(ConfigError, match="0.3 s noise-only lead"):
+        generate_corpus(PipelineConfig(clip_s=0.2), tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()
 
 
 def _frame_zcr_variance(buf, skip_s=0.3):
