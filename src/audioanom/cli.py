@@ -106,7 +106,7 @@ def cmd_render(args) -> int:
     cfg = _load_config(args)
     buf = resample_linear(read_wav(args.clip), cfg.sample_rate)
     if args.kind != "waveform":
-        fm = frame_signal(buf, cfg.frame_len, cfg.hop, window=True)
+        fm = frame_signal(buf, cfg.frame_len, cfg.hop)
         if not len(fm.frames):
             raise SignalTooShort(f"{args.clip}: need at least {cfg.frame_len} "
                                  f"samples for a {args.kind}, got {len(buf)}")

@@ -95,6 +95,11 @@ class PipelineConfig:
             (self.alpha >= 0, "alpha must be >= 0"),
             (0 <= self.beta <= 1, "beta must be in [0, 1]"),
             (self.lead_ms > 0, "lead_ms must be positive"),
+            *((length * self.sample_rate <= _FLOAT_MAX,
+               f"{key} must span a finite number of samples at sample_rate")
+              for key, length in (("clip_s", self.clip_s),
+                                  ("seg_len_s", self.seg_len_s),
+                                  ("lead_ms", self.lead_ms / 1000.0))),
             (self.normalize_mode in NORMALIZE_MODES,
              "normalize_mode must be " + " or ".join(NORMALIZE_MODES)),
             (self.normalize_target > 0, "normalize_target must be positive"),
@@ -124,6 +129,8 @@ class PipelineConfig:
             (self.clip_s * self.sample_rate
              >= round(LEAD_SILENCE_S * self.sample_rate) + 1,
              f"clip_s must exceed the {LEAD_SILENCE_S} s noise-only lead"),
+            (_level_ok(self.snr_db) and _level_ok(self.snr_db - 6.0),
+             "snr_db and snr_db - 6 must give a positive, finite 10**(dB/20)"),
             (self.jitter_sigma_hz >= 0, "jitter_sigma_hz must be >= 0"),
         ]
         for ok, message in checks:
@@ -148,6 +155,14 @@ FIELD_TYPES = {name: ((get_args(hint) or (hint,))[0], bool(get_args(hint)))
 _TYPE_NAMES = {int: "a finite integer", float: "a finite number",
                str: "a string"}
 _FLOAT_MAX = sys.float_info.max
+
+
+def _level_ok(db: float) -> bool:
+    """Whether the amplitude ratio 10**(db/20) is a positive, finite float."""
+    try:
+        return 10.0 ** (db / 20.0) > 0.0
+    except OverflowError:
+        return False
 
 
 def read_config_file(path) -> dict:

@@ -1,4 +1,4 @@
-"""Shared frequency-domain primitives: framing, windowing, DFT, power spectra.
+"""Frequency-domain primitives: framing, DFT, Hann-windowed power spectra.
 
 Transforms are restricted to power-of-two sizes; frames shorter than n_fft
 are zero-padded. Logs of power add LOG_FLOOR so silence never yields -inf.
@@ -18,7 +18,7 @@ LOG_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Windowed (or raw) analysis frames: shape (num_frames, frame_len)."""
+    """Unwindowed analysis frames: shape (num_frames, frame_len)."""
 
     frames: np.ndarray
 
@@ -42,9 +42,7 @@ def dft(frame: np.ndarray, n_fft: int) -> np.ndarray:
     frame = np.asarray(frame, dtype=np.float64)
     if len(frame) > n_fft:
         raise ValueError(f"frame length {len(frame)} exceeds n_fft {n_fft}")
-    if len(frame) < n_fft:
-        frame = np.concatenate([frame, np.zeros(n_fft - len(frame))])
-    return np.fft.fft(frame)
+    return np.fft.fft(frame, n=n_fft)
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
@@ -53,13 +51,11 @@ def idft(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum).real
 
 
-def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int,
-                 window: bool = True) -> FrameMatrix:
-    """Slice a signal into fixed-stride frames, optionally Hann-windowed.
+def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> FrameMatrix:
+    """Fixed-stride frames of a signal: an unwindowed, read-only view.
 
     Frame i covers samples [i*hop, i*hop + frame_len); the trailing partial
     frame is discarded. A signal shorter than one frame yields zero frames.
-    Unwindowed frames are a read-only strided view of the samples.
     """
     if frame_len < 2:
         raise ValueError(f"frame_len must be >= 2, got {frame_len}")
@@ -70,16 +66,15 @@ def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int,
         frames = np.empty((0, frame_len))
     else:
         frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-        if window:
-            frames = frames * hann_window(frame_len)[None, :]
     return FrameMatrix(frames)
 
 
 def power_spectrogram(fm: FrameMatrix, n_fft: int) -> np.ndarray:
-    """One-sided power spectra |rfft|^2 of the frames over bins
-    0 .. n_fft/2: shape (num_frames, n_fft // 2 + 1)."""
+    """One-sided power spectra |rfft|^2 of the Hann-windowed frames over
+    bins 0 .. n_fft/2: shape (num_frames, n_fft // 2 + 1)."""
     _check_n_fft(n_fft)
-    if fm.frames.shape[1] > n_fft:
-        raise ValueError(f"frame_len {fm.frames.shape[1]} exceeds n_fft "
-                         f"{n_fft}")
-    return np.abs(np.fft.rfft(fm.frames, n=n_fft, axis=1)) ** 2
+    frame_len = fm.frames.shape[1]
+    if frame_len > n_fft:
+        raise ValueError(f"frame_len {frame_len} exceeds n_fft {n_fft}")
+    windowed = fm.frames * hann_window(frame_len)[None, :]
+    return np.abs(np.fft.rfft(windowed, n=n_fft, axis=1)) ** 2

@@ -48,21 +48,25 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def _class_shuffles(data: FeatureSet, seed: int, need: int, why: str = ""):
+    """Each class's row indices, class by class, in a shuffle seeded by
+    (seed, class index); ClassTooSmall when a class has fewer than need."""
+    y = data.labels()
+    for c, name in enumerate(data.class_names):
+        rows = np.nonzero(y == c)[0]
+        if len(rows) < need:
+            raise ClassTooSmall(f"class {name!r} has {len(rows)} instances, "
+                                f"need >= {need}{why}")
+        yield rows[np.random.default_rng([seed, c]).permutation(len(rows))]
+
+
 def stratified_split(data: FeatureSet, test_frac: float, seed: int = 0):
     """Per-class seeded shuffle; round(test_frac * n_c) instances go to test."""
     if not 0.0 < test_frac < 1.0:
         raise ValueError(f"test_frac must be in (0, 1), got {test_frac}")
-    y = data.labels()
-    train_idx: list = []
-    test_idx: list = []
-    for c, name in enumerate(data.class_names):
-        members = np.nonzero(y == c)[0]
-        if len(members) < 2:
-            raise ClassTooSmall(f"class {name!r} has {len(members)} instances, "
-                                "need >= 2")
-        rng = np.random.default_rng([seed, c])
-        perm = members[rng.permutation(len(members))]
-        n_test = _round_half_up(test_frac * len(members))
+    train_idx, test_idx = [], []
+    for perm in _class_shuffles(data, seed, 2):
+        n_test = _round_half_up(test_frac * len(perm))
         test_idx.extend(perm[:n_test].tolist())
         train_idx.extend(perm[n_test:].tolist())
     return data.subset(sorted(train_idx)), data.subset(sorted(test_idx))
@@ -133,15 +137,8 @@ def cross_validate(data: FeatureSet, k: int,
     models.predict_proba."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    y = data.labels()
     folds: list = [[] for _ in range(k)]
-    for c, name in enumerate(data.class_names):
-        members = np.nonzero(y == c)[0]
-        if len(members) < k:
-            raise ClassTooSmall(f"class {name!r} has {len(members)} instances, "
-                                f"need >= {k} for {k}-fold CV")
-        rng = np.random.default_rng([seed, c])
-        perm = members[rng.permutation(len(members))]
+    for perm in _class_shuffles(data, seed, k, f" for {k}-fold CV"):
         for i, idx in enumerate(perm):
             folds[i % k].append(int(idx))
 

@@ -4,10 +4,10 @@ Per-frame values are aggregated to a fixed 30-feature clip vector
 (MFCC_mean_1..13, MFCC_std_1..13, ZCR_mean/std, Centroid_mean/std) using
 population standard deviation so single-frame clips stay well defined.
 
-A segment is framed twice, plain and pre-emphasized, and each Hann-windowed
-frame matrix gets one power spectrum: the MFCCs are defined on the
-emphasized spectrum and the centroid on the plain one, so two spectra are
-inherent. ZCR reads the plain frames before windowing.
+A segment is framed twice, plain and pre-emphasized, and each frame matrix
+gets one power spectrum, which applies the Hann window: the MFCCs are
+defined on the emphasized spectrum and the centroid on the plain one, so two
+spectra are inherent. ZCR reads the plain, unwindowed frames.
 
 The settings (frame_len, hop, n_fft, n_mels, n_coeffs, fmin, fmax,
 pre_emphasis) come from a PipelineConfig, whose validate() checks them once;
@@ -19,14 +19,14 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .audio_io import AudioBuffer
 from .config import PipelineConfig
-from .dsp import LOG_FLOOR, frame_signal, hann_window, power_spectrogram
+from .dsp import LOG_FLOOR, frame_signal, power_spectrogram
 from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
                      MalformedFeatureFile, NonFiniteFeature, SignalTooShort)
 
@@ -136,11 +136,11 @@ def mfcc(buffer: AudioBuffer,
          cfg: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Frame-level MFCCs, shape (num_frames, n_coeffs).
 
-    Chain: pre-emphasis, Hann framing, power spectrum, mel filterbank,
+    Chain: pre-emphasis, framing, Hann-windowed power spectrum, mel bank,
     log (1e-10 floor), orthonormal DCT-II, keep the first n_coeffs.
     """
     emphasized = pre_emphasis(buffer, cfg.pre_emphasis)
-    fm = frame_signal(emphasized, cfg.frame_len, cfg.hop, window=True)
+    fm = frame_signal(emphasized, cfg.frame_len, cfg.hop)
     if fm.frames.shape[0] == 0:
         raise SignalTooShort(
             f"need at least {cfg.frame_len} samples, got {len(buffer)}")
@@ -210,14 +210,9 @@ def extract_clip_features(
     """Aggregate per-frame MFCC/ZCR/centroid to one named clip vector."""
     coeffs = mfcc(segment, cfg)
 
-    raw = frame_signal(segment, cfg.frame_len, cfg.hop, window=False)
-    zcrs = zero_crossing_rate(raw.frames)
-
-    # the Hann product frame_signal(window=True) applies, on the frames
-    # already taken, so the segment is not framed a third time
-    windowed = replace(
-        raw, frames=raw.frames * hann_window(cfg.frame_len)[None, :])
-    centroids = spectral_centroid(power_spectrogram(windowed, cfg.n_fft),
+    fm = frame_signal(segment, cfg.frame_len, cfg.hop)
+    zcrs = zero_crossing_rate(fm.frames)
+    centroids = spectral_centroid(power_spectrogram(fm, cfg.n_fft),
                                   segment.sample_rate, cfg.n_fft).hz
 
     values = np.concatenate([

@@ -301,6 +301,14 @@ def train_tree(data: FeatureSet, max_depth: Optional[int] = None,
                         _normalized(importances))
 
 
+def _check_mtry(mtry: Optional[int], n_features: int) -> int:
+    """mtry, round(sqrt(n_features)) if None; ConfigError unless in range."""
+    mtry = max(1, round(math.sqrt(n_features))) if mtry is None else mtry
+    if not 1 <= mtry <= n_features:
+        raise ConfigError(f"mtry must be in [1, {n_features}], got {mtry}")
+    return mtry
+
+
 def train_forest(data: FeatureSet, n_trees: int,
                  mtry: Optional[int] = None,
                  max_depth: Optional[int] = None, min_samples_leaf: int = 1,
@@ -309,10 +317,7 @@ def train_forest(data: FeatureSet, n_trees: int,
     each tree draws its bootstrap rows, then its per-node features."""
     X, y = _training_arrays(data)
     n, n_features = X.shape
-    if mtry is None:
-        mtry = max(1, int(round(math.sqrt(n_features))))
-    if not 1 <= mtry <= n_features:
-        raise ConfigError(f"mtry must be in [1, {n_features}], got {mtry}")
+    mtry = _check_mtry(mtry, n_features)
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
 

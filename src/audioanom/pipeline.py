@@ -5,6 +5,7 @@ single config + seed. The CLI is a thin wrapper around these functions.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import multiprocessing
@@ -27,18 +28,19 @@ from .features import (
     FeatureVector,
     _mel_bank,
     extract_clip_features,
+    feature_schema,
     save_featureset,
 )
 from .models import (
     EnsembleModel,
     RandomForest,
+    _check_mtry,
     feature_importance,
     save_model,
     train_forest,
     train_svm,
 )
-from .preprocess import (estimate_noise_profile, n_segments, normalize, segment,
-                         spectral_subtract)
+from .preprocess import n_segments, normalize, segment, spectral_subtract
 from .synthgen import render_clip, write_manifest
 
 
@@ -49,11 +51,9 @@ def preprocess_clip(buf: AudioBuffer, cfg: PipelineConfig):
     rather than failing: short inputs are degraded, not rejected.
     """
     buf = resample_linear(buf, cfg.sample_rate)
-    try:
-        profile = estimate_noise_profile(buf, cfg.lead_ms, cfg.n_fft)
-        buf = spectral_subtract(buf, profile, cfg.alpha, cfg.beta)
-    except TooShortForProfile:
-        pass
+    with contextlib.suppress(TooShortForProfile):
+        buf = spectral_subtract(buf, cfg.lead_ms, cfg.n_fft, cfg.alpha,
+                                cfg.beta)
     buf = normalize(buf, cfg.normalize_mode, cfg.normalize_target).buffer
     return segment(buf, cfg.seg_len_s, cfg.pad_policy).segments
 
@@ -227,10 +227,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> dict:
     Returns the paths of everything written. Deterministic for a fixed
     (config, seed): rerunning yields byte-identical files.
     """
-    # settings that leave the split a class without rows, or a degenerate
-    # mel bank, fail here, before any file is written; the forked workers
-    # inherit the cached bank
+    # settings that leave the split a class without rows, an mtry beyond
+    # the feature count or a degenerate mel bank fail here, before any file
+    # is written; the forked workers inherit the cached bank
     _check_split_rows(cfg)
+    _check_mtry(cfg.mtry, len(feature_schema(cfg.n_coeffs)))
     _mel_bank(cfg, cfg.sample_rate)
     os.makedirs(out_dir, exist_ok=True)
     corpus_dir = os.path.join(out_dir, "corpus")

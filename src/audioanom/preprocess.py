@@ -26,15 +26,6 @@ PAD_ZERO_LAST, PAD_DROP_LAST = PAD_POLICIES
 
 
 @dataclass(frozen=True)
-class NoiseProfile:
-    """Mean magnitude spectrum of the leading noise-only window."""
-
-    mean_magnitude: np.ndarray   # (n_fft // 2 + 1,)
-    n_fft: int
-    source_frames: int
-
-
-@dataclass(frozen=True)
 class AdaptiveFilterState:
     weights: np.ndarray
     mu: float
@@ -52,44 +43,34 @@ class SegmentSet:
     segments: list
 
 
-def estimate_noise_profile(buffer: AudioBuffer, lead_ms: float,
-                           n_fft: int) -> NoiseProfile:
-    """Mean per-bin magnitude over all full frames in the leading window."""
-    lead = int(round(lead_ms / 1000.0 * buffer.sample_rate))
-    hop = n_fft // 2
-    if lead < n_fft or len(buffer) < n_fft:
-        raise TooShortForProfile(
-            f"need at least {n_fft} samples of leading noise, "
-            f"got {min(lead, len(buffer))}")
-    frames = np.lib.stride_tricks.sliding_window_view(
-        buffer.samples[:lead], n_fft)[::hop]
-    mags = np.abs(np.fft.rfft(frames * hann_window(n_fft)[None, :], axis=1))
-    return NoiseProfile(mags.mean(axis=0), n_fft=n_fft,
-                        source_frames=len(frames))
-
-
-def spectral_subtract(buffer: AudioBuffer, profile: NoiseProfile,
+def spectral_subtract(buffer: AudioBuffer, lead_ms: float, n_fft: int,
                       alpha: float, beta: float) -> AudioBuffer:
     """Per-frame magnitude subtraction with over-subtraction and floor.
 
     M'[k] = max(M[k] - alpha * N[k], beta * M[k]), applied as the real gain
-    M'/M so the phase is kept. Hann frames of the profile's n_fft at hop
-    n_fft/2 over the input padded with hop zeros in front and n_fft behind
-    put every sample in the COLA-exact interior. The overlap-add adds all
-    first half frames, then all second half frames one hop later, into
-    zeros: per sample the same 0 + a + b as adding frame by frame.
+    M'/M so the phase is kept, where N is the mean magnitude of the frames
+    lying wholly in the leading lead_ms. Hann frames of n_fft at hop n_fft/2
+    over the input padded with hop zeros in front and n_fft behind put every
+    sample in the COLA-exact interior. The overlap-add adds all first half
+    frames, then all second half frames one hop later, into zeros: per
+    sample the same 0 + a + b as adding frame by frame.
     """
+    lead = min(int(round(lead_ms / 1000.0 * buffer.sample_rate)), len(buffer))
+    if lead < n_fft:
+        raise TooShortForProfile(
+            f"need at least {n_fft} samples of leading noise, got {lead}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    n_fft = profile.n_fft
     hop = n_fft // 2
     padded = np.concatenate([np.zeros(hop), buffer.samples, np.zeros(n_fft)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
     spec = np.fft.rfft(frames * hann_window(n_fft)[None, :], axis=1)
     mag = np.abs(spec)
-    gain = mag - alpha * profile.mean_magnitude[None, :]
+    # frame i >= 1 starts at sample (i - 1) * hop
+    noise = mag[1:2 + (lead - n_fft) // hop].mean(axis=0)
+    gain = mag - alpha * noise[None, :]
     np.maximum(gain, beta * mag, out=gain)
     np.divide(gain, mag, out=gain, where=mag > 0)
     spec *= gain

@@ -130,6 +130,22 @@ def half_padded_stft_frames(x, n_fft):
     return np.array(frames)
 
 
+def loop_noise_profile(x, lead, n_fft):
+    """Mean magnitude spectrum of the half_padded_stft_frames rows 1 .. m,
+    the frames lying wholly inside the first `lead` samples of x, summed
+    one frame at a time. Row i >= 1 covers samples (i-1)*hop onwards."""
+    hop = n_fft // 2
+    frames = half_padded_stft_frames(x, n_fft)
+    total = np.zeros(n_fft // 2 + 1)
+    m = 0
+    for i in range(1, len(frames)):
+        if (i - 1) * hop + n_fft > min(lead, len(x)):
+            break
+        total += np.abs(np.fft.rfft(frames[i]))
+        m += 1
+    return total / m
+
+
 def loop_spectral_subtract(x, noise_magnitude, alpha, beta, n_fft):
     """Spectral subtraction frame by frame: M' = max(M - alpha N, beta M)
     with the frame's own phase, inverse transform, then overlap-add in

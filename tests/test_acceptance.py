@@ -19,9 +19,10 @@ from audioanom.models import train_forest, feature_importance
 from audioanom.evaluate import confusion_matrix, metrics
 from audioanom.features import FeatureSet, FeatureVector
 from audioanom.pipeline import run_pipeline
-from audioanom.preprocess import estimate_noise_profile, spectral_subtract, nlms_cancel
+from audioanom.preprocess import spectral_subtract, nlms_cancel
 
-from oracles import half_padded_stft_frames, mel_points_hz, recount_metrics
+from oracles import (half_padded_stft_frames, loop_noise_profile,
+                     loop_spectral_subtract, mel_points_hz, recount_metrics)
 
 SR = 16000
 
@@ -133,8 +134,8 @@ def test_criterion_3_spectral_subtraction_efficacy():
     noisy = clean + noise
 
     buf = AudioBuffer(noisy, SR)
-    profile = estimate_noise_profile(buf, lead / SR * 1000.0, 512)
-    out = spectral_subtract(buf, profile, alpha=2.0, beta=0.01)
+    out = spectral_subtract(buf, lead / SR * 1000.0, 512, alpha=2.0,
+                            beta=0.01)
 
     def snr(ref, sig):
         return 10 * np.log10(np.sum(ref ** 2) / np.sum((sig - ref) ** 2))
@@ -145,8 +146,12 @@ def test_criterion_3_spectral_subtraction_efficacy():
 
     frames = half_padded_stft_frames(noisy, 512)
     mag = np.abs(np.fft.rfft(frames, axis=1))
-    new_mag = np.maximum(mag - 2.0 * profile.mean_magnitude, 0.01 * mag)
+    noise = loop_noise_profile(noisy, lead, 512)
+    new_mag = np.maximum(mag - 2.0 * noise, 0.01 * mag)
     assert np.all(new_mag >= 0.01 * mag - 1e-12)
+    expected = loop_spectral_subtract(noisy, noise, 2.0, 0.01, 512)
+    assert np.all(np.abs(out.samples - expected)
+                  <= 1e-12 * np.maximum(1.0, np.abs(noisy)))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report("criterion 3 (spectral subtraction efficacy)",

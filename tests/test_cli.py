@@ -404,6 +404,25 @@ BAD_INPUT = {
                             ["n_mels=200"]),
     "mtry_above_features": ("train", None, ["--mtry", "31"], 2,
                             ["mtry", "[1, 30]", "31"]),
+    "mtry_above_features_pipeline": ("pipeline", None, [
+        "--n-per-class", "3", "--mtry", "31"], 2,
+        ["mtry must be in [1, 30], got 31"]),
+    "clip_s_overflows_samples": ("pipeline", None, ["--clip-s", "1e308"], 2,
+                                 ["clip_s", "finite number of samples"]),
+    "seg_len_s_overflows_samples": ("pipeline", None, [
+        "--seg-len-s", "1e308"], 2, ["seg_len_s", "finite number of samples"]),
+    "lead_ms_overflows_samples": ("pipeline", None, ["--lead-ms", "1e308"], 2,
+                                  ["lead_ms", "finite number of samples"]),
+    "snr_db_overflows_level": ("pipeline", None, ["--snr-db", "7000"], 2,
+                               ["snr_db", "positive, finite"]),
+    "snr_db_overflows_level_synth": ("synth", None, ["--snr-db", "7000"], 2,
+                                     ["snr_db", "positive, finite"]),
+    "snr_db_underflows_level": ("pipeline", None, [
+        "--n-per-class", "3", "--snr-db=-7000"], 2,
+        ["snr_db", "positive, finite"]),
+    "snr_db_underflows_level_synth": ("synth", None, [
+        "--n-per-class", "3", "--snr-db=-7000"], 2,
+        ["snr_db", "positive, finite"]),
     "negative_seed": ("pipeline", None, ["--seed", "-1"], 2, ["seed"]),
     "clip_within_lead": ("pipeline", None, ["--clip-s", "0.1"], 2,
                          ["clip_s", "0.3 s noise-only lead"]),

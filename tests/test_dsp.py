@@ -86,38 +86,55 @@ def test_dft_invariants_on_random_frames():
 @pytest.mark.parametrize("sig_len,expected", [(400, 4), (160, 1), (159, 0)])
 def test_frame_counts(sig_len, expected):
     buf = AudioBuffer(np.ones(sig_len), 16000)
-    fm = frame_signal(buf, frame_len=160, hop=80, window=False)
+    fm = frame_signal(buf, frame_len=160, hop=80)
     assert fm.frames.shape == (expected, 160)
 
 
+def _hann_power(frame, n_fft):
+    """|DFT|^2 of the Hann-windowed frame zero-padded to n_fft, bins
+    0 .. n_fft/2, by direct summation."""
+    windowed = np.asarray(frame) * hann_window(len(frame))
+    return np.abs(naive_dft(windowed, n_fft)[:n_fft // 2 + 1]) ** 2
+
+
 def test_frame_positions_and_window():
+    # frames are a read-only view of the samples; power_spectrogram, not
+    # frame_signal, applies the Hann window
     x = np.arange(400, dtype=float)
-    fm = frame_signal(AudioBuffer(x, 16000), 160, 80, window=False)
+    fm = frame_signal(AudioBuffer(x, 16000), 160, 80)
     np.testing.assert_array_equal(fm.frames[2], x[160:320])
-    fw = frame_signal(AudioBuffer(x, 16000), 160, 80, window=True)
-    np.testing.assert_allclose(fw.frames[2], x[160:320] * hann_window(160))
+    assert not fm.frames.flags.writeable
+    np.testing.assert_allclose(power_spectrogram(fm, 256)[2],
+                               _hann_power(x[160:320], 256), rtol=1e-9,
+                               atol=1e-6)
 
 
 def test_spectrogram_zero_frame():
-    fm = frame_signal(AudioBuffer(np.zeros(16), 16000), 8, 8, window=False)
+    fm = frame_signal(AudioBuffer(np.zeros(16), 16000), 8, 8)
     np.testing.assert_array_equal(power_spectrogram(fm, 8), 0.0)
 
 
 def test_spectrogram_constant_frame():
-    fm = frame_signal(AudioBuffer(np.ones(8), 16000), 8, 8, window=False)
+    # the periodic Hann window of 8 sums to 4 and has DFT -2 at bin 1
+    fm = frame_signal(AudioBuffer(np.ones(8), 16000), 8, 8)
     power = power_spectrogram(fm, 8)
-    assert power[0, 0] == pytest.approx(64.0)
-    np.testing.assert_allclose(power[0, 1:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(power[0], _hann_power(np.ones(8), 8),
+                               atol=1e-12)
+    np.testing.assert_allclose(power[0], [16.0, 4.0, 0.0, 0.0, 0.0],
+                               atol=1e-12)
 
 
 def test_spectrogram_bin_aligned_cosine_power():
     x = np.cos(2 * np.pi * np.arange(8) / 8)
-    fm = frame_signal(AudioBuffer(x, 16000), 8, 8, window=False)
-    assert power_spectrogram(fm, 8)[0, 1] == pytest.approx(16.0)
+    fm = frame_signal(AudioBuffer(x, 16000), 8, 8)
+    power = power_spectrogram(fm, 8)
+    np.testing.assert_allclose(power[0], _hann_power(x, 8), atol=1e-12)
+    assert power[0, 1] == pytest.approx(4.0)
 
 
 def test_spectrogram_power_and_shape():
-    # row i is |DFT|^2 of frame i zero-padded to n_fft, bins 0 .. n_fft/2
+    # row i is |DFT|^2 of Hann-windowed frame i zero-padded to n_fft, bins
+    # 0 .. n_fft/2
     rng = np.random.default_rng(15)
     buf = AudioBuffer(rng.normal(size=2000), 16000)
     fm = frame_signal(buf, 400, 160)
@@ -126,7 +143,7 @@ def test_spectrogram_power_and_shape():
     power = power_spectrogram(small, 32)
     assert power.shape == (13, 17)
     for frame, row in zip(small.frames, power):
-        np.testing.assert_allclose(row, np.abs(naive_dft(frame, 32)[:17]) ** 2,
+        np.testing.assert_allclose(row, _hann_power(frame, 32),
                                    rtol=1e-9, atol=1e-12)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from audioanom import features
 from audioanom.audio_io import AudioBuffer, read_wav
 from audioanom.config import PipelineConfig
-from audioanom.dsp import frame_signal
+from audioanom.dsp import frame_signal, hann_window
 from audioanom.errors import (DegenerateFilter, FrameTooShort,
                               MalformedFeatureFile, NonFiniteFeature,
                               SignalTooShort)
@@ -326,18 +326,17 @@ def _per_frame_reference(segment, cfg):
     """The clip vector computed one frame at a time from frame_signal and
     zero_crossing_rate and spectral_centroid on one frame each."""
     sr = segment.sample_rate
-    raw = frame_signal(segment, cfg.frame_len, cfg.hop, window=False)
-    windowed = frame_signal(segment, cfg.frame_len, cfg.hop, window=True)
+    raw = frame_signal(segment, cfg.frame_len, cfg.hop)
     emphasized = frame_signal(pre_emphasis(segment, cfg.pre_emphasis),
-                              cfg.frame_len, cfg.hop, window=True)
+                              cfg.frame_len, cfg.hop)
+    window = hann_window(cfg.frame_len)
     fb = mel_filterbank(cfg, sr)
     coeffs, zcrs, centroids = [], [], []
-    for plain, win, emph in zip(raw.frames, windowed.frames,
-                                emphasized.frames):
+    for plain, emph in zip(raw.frames, emphasized.frames):
         zcrs.append(float(zero_crossing_rate(plain)))
-        power = np.abs(np.fft.rfft(win, n=cfg.n_fft)) ** 2
+        power = np.abs(np.fft.rfft(plain * window, n=cfg.n_fft)) ** 2
         centroids.append(float(spectral_centroid(power, sr, cfg.n_fft).hz))
-        power = np.abs(np.fft.rfft(emph, n=cfg.n_fft)) ** 2
+        power = np.abs(np.fft.rfft(emph * window, n=cfg.n_fft)) ** 2
         log_e = np.log(fb @ power + 1e-10)
         coeffs.append(naive_dct2_ortho(log_e)[:cfg.n_coeffs])
     coeffs = np.array(coeffs)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audioanom.audio_io import AudioBuffer
 from audioanom.errors import LengthMismatch, TooShortForProfile
 from audioanom.preprocess import (
     PAD_DROP_LAST,
     PAD_ZERO_LAST,
-    estimate_noise_profile,
     n_segments,
     nlms_cancel,
     normalize,
@@ -14,10 +15,13 @@ from audioanom.preprocess import (
     spectral_subtract,
 )
 
-from oracles import half_padded_stft_frames, loop_spectral_subtract
+from oracles import (half_padded_stft_frames, loop_noise_profile,
+                     loop_spectral_subtract)
 
 SR = 16000
 N_FFT = 512
+LEAD_MS = 250.0
+LEAD = SR // 4   # LEAD_MS in samples at SR
 
 
 def _snr_db(clean, noisy):
@@ -25,37 +29,32 @@ def _snr_db(clean, noisy):
     return 10 * np.log10(np.sum(clean ** 2) / np.sum(noise ** 2))
 
 
-# --- estimate_noise_profile ---
+def _close_to(out, expected, x):
+    return np.all(np.abs(out - expected) <= 1e-12 * np.maximum(1.0, np.abs(x)))
+
+
+# --- the noise profile inside spectral_subtract ---
 
 def test_profile_of_silence_is_zero():
-    buf = AudioBuffer(np.zeros(SR), SR)
-    profile = estimate_noise_profile(buf, 250.0, N_FFT)
-    np.testing.assert_array_equal(profile.mean_magnitude, 0.0)
-    assert profile.source_frames >= 1
+    # a silent lead gives N = 0, so no gain is below 1 and even a large
+    # alpha passes the noisy rest of the clip through
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.zeros(LEAD), rng.uniform(-0.5, 0.5, SR - LEAD)])
+    np.testing.assert_array_equal(loop_noise_profile(x, LEAD, N_FFT), 0.0)
+    out = spectral_subtract(AudioBuffer(x, SR), LEAD_MS, N_FFT, alpha=10.0,
+                            beta=0.01)
+    np.testing.assert_allclose(out.samples, x, atol=1e-6)
 
 
 def test_profile_too_short():
     buf = AudioBuffer(np.zeros(SR), SR)
-    with pytest.raises(TooShortForProfile):
-        estimate_noise_profile(buf, 10.0, N_FFT)  # 160 samples < one frame
-
-
-def test_profile_averaging_reduces_variance():
-    # per-bin estimate from a 10-frame lead varies less across draws than a
-    # single-frame estimate
-    short_lead_ms = N_FFT / SR * 1000.0          # exactly one frame
-    long_lead_ms = 11 * (N_FFT // 2) / SR * 1000.0
-    bin_short, bin_long = [], []
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        noise = rng.normal(0, 0.1, size=SR)
-        buf = AudioBuffer(noise, SR)
-        bin_short.append(estimate_noise_profile(buf, short_lead_ms,
-                                                N_FFT).mean_magnitude[20])
-        p = estimate_noise_profile(buf, long_lead_ms, N_FFT)
-        assert p.source_frames >= 10
-        bin_long.append(p.mean_magnitude[20])
-    assert np.var(bin_long) < np.var(bin_short)
+    with pytest.raises(TooShortForProfile,
+                       match="need at least 512 samples of leading noise, "
+                             "got 160"):
+        spectral_subtract(buf, 10.0, N_FFT, 2.0, 0.01)  # 160 < one frame
+    with pytest.raises(TooShortForProfile, match="got 500"):
+        spectral_subtract(AudioBuffer(np.zeros(500), SR), 1000.0, N_FFT,
+                          2.0, 0.01)   # the lead stops at the clip's end
 
 
 # --- spectral_subtract ---
@@ -64,16 +63,14 @@ def test_alpha_zero_is_identity():
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.5, 0.5, size=SR)
     buf = AudioBuffer(x, SR)
-    profile = estimate_noise_profile(buf, 250.0, N_FFT)
-    out = spectral_subtract(buf, profile, alpha=0.0, beta=0.01)
+    out = spectral_subtract(buf, LEAD_MS, N_FFT, alpha=0.0, beta=0.01)
     assert len(out) == len(buf)
     np.testing.assert_allclose(out.samples, x, atol=1e-6)
 
 
 def test_silence_in_silence_out():
     buf = AudioBuffer(np.zeros(SR), SR)
-    profile = estimate_noise_profile(buf, 250.0, N_FFT)
-    out = spectral_subtract(buf, profile, alpha=2.0, beta=0.01)
+    out = spectral_subtract(buf, LEAD_MS, N_FFT, alpha=2.0, beta=0.01)
     np.testing.assert_allclose(out.samples, 0.0, atol=1e-12)
     assert np.all(np.isfinite(out.samples))
 
@@ -92,10 +89,8 @@ def test_snr_improvement_on_noisy_tone():
     clean[lead:] = tone
     noisy = clean + noise
 
-    profile = estimate_noise_profile(AudioBuffer(noisy, SR),
-                                     lead / SR * 1000.0, N_FFT)
-    out = spectral_subtract(AudioBuffer(noisy, SR), profile,
-                            alpha=2.0, beta=0.01)
+    out = spectral_subtract(AudioBuffer(noisy, SR), lead / SR * 1000.0,
+                            N_FFT, alpha=2.0, beta=0.01)
     before = _snr_db(clean[lead:], noisy[lead:])
     after = _snr_db(clean[lead:], out.samples[lead:])
     assert after - before >= 5.0
@@ -108,45 +103,68 @@ def test_magnitude_floor_invariant_per_frame():
     for _ in range(5):
         x = rng.normal(0, 0.2, size=SR)
         buf = AudioBuffer(x, SR)
-        profile = estimate_noise_profile(buf, 250.0, N_FFT)
+        noise = loop_noise_profile(x, LEAD, N_FFT)
         frames = half_padded_stft_frames(x, N_FFT)
         mag = np.abs(np.fft.rfft(frames, axis=1))
-        new_mag = np.maximum(mag - 2.0 * profile.mean_magnitude, beta * mag)
+        new_mag = np.maximum(mag - 2.0 * noise, beta * mag)
         assert np.all(new_mag >= beta * mag - 1e-12)
         assert np.all(new_mag <= mag + 1e-12)
 
-        out = spectral_subtract(buf, profile, alpha=2.0, beta=beta)
+        out = spectral_subtract(buf, LEAD_MS, N_FFT, alpha=2.0, beta=beta)
         assert np.all(np.isfinite(out.samples))
 
 
 @pytest.mark.parametrize("n", [512, 513, 1000, 32007])
 def test_spectral_subtract_matches_loop_reference(n):
+    # leads of exactly one frame, of 11 frames, of the whole clip and of
+    # twice the clip, which stops at the clip's end
     rng = np.random.default_rng(n)
     x = rng.normal(0, 0.3, size=n)
     buf = AudioBuffer(x, SR)
-    profile = estimate_noise_profile(buf, 1000.0 * n / SR, N_FFT)
-    for alpha, beta in ((2.0, 0.01), (0.5, 0.2), (0.0, 0.01)):
-        out = spectral_subtract(buf, profile, alpha=alpha, beta=beta)
-        expected = loop_spectral_subtract(x, profile.mean_magnitude, alpha,
-                                          beta, N_FFT)
-        assert len(out) == n
-        assert np.all(np.abs(out.samples - expected)
-                      <= 1e-12 * np.maximum(1.0, np.abs(x)))
+    for lead in (N_FFT, N_FFT + 10 * (N_FFT // 2), n, 2 * n):
+        if min(lead, n) < N_FFT:
+            continue
+        noise = loop_noise_profile(x, lead, N_FFT)
+        for alpha, beta in ((2.0, 0.01), (0.5, 0.2), (0.0, 0.01)):
+            out = spectral_subtract(buf, 1000.0 * lead / SR, N_FFT,
+                                    alpha=alpha, beta=beta)
+            expected = loop_spectral_subtract(x, noise, alpha, beta, N_FFT)
+            assert len(out) == n
+            assert _close_to(out.samples, expected, x)
 
 
 def test_spectral_subtract_uses_profile_n_fft():
-    # a 256-point profile makes 256-point frames, not the default 512
+    # n_fft = 256 makes 256-point frames, not the default 512
     rng = np.random.default_rng(256)
     x = rng.normal(0, 0.3, size=SR // 4)
     buf = AudioBuffer(x, SR)
-    profile = estimate_noise_profile(buf, 100.0, 256)
-    assert profile.mean_magnitude.shape == (129,)
-    out = spectral_subtract(buf, profile, alpha=2.0, beta=0.01)
-    expected = loop_spectral_subtract(x, profile.mean_magnitude, 2.0, 0.01,
-                                      256)
+    noise = loop_noise_profile(x, SR // 10, 256)
+    assert noise.shape == (129,)
+    out = spectral_subtract(buf, 100.0, 256, alpha=2.0, beta=0.01)
+    expected = loop_spectral_subtract(x, noise, 2.0, 0.01, 256)
     assert len(out) == len(x)
-    assert np.all(np.abs(out.samples - expected)
-                  <= 1e-12 * np.maximum(1.0, np.abs(x)))
+    assert _close_to(out.samples, expected, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log2_n_fft=st.integers(3, 9), n=st.integers(1, 3000),
+       lead=st.integers(0, 4000), alpha=st.floats(0.0, 4.0),
+       beta=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_spectral_subtract_matches_loop_reference_on_random_inputs(
+        log2_n_fft, n, lead, alpha, beta, seed):
+    n_fft = 2 ** log2_n_fft
+    x = np.random.default_rng(seed).normal(0, 0.3, size=n)
+    buf = AudioBuffer(x, SR)
+    lead_ms = 1000.0 * lead / SR
+    if min(lead, n) < n_fft:
+        with pytest.raises(TooShortForProfile):
+            spectral_subtract(buf, lead_ms, n_fft, alpha, beta)
+        return
+    out = spectral_subtract(buf, lead_ms, n_fft, alpha, beta)
+    noise = loop_noise_profile(x, lead, n_fft)
+    assert len(out) == n
+    assert _close_to(out.samples,
+                     loop_spectral_subtract(x, noise, alpha, beta, n_fft), x)
 
 
 # --- nlms_cancel ---

@@ -60,7 +60,7 @@ def _frame_zcr_variance(buf, skip_s=0.3):
     # would swamp the tonal jitter being measured
     tonal = AudioBuffer(buf.samples[int(skip_s * buf.sample_rate):],
                         buf.sample_rate)
-    fm = frame_signal(tonal, 400, 160, window=False)
+    fm = frame_signal(tonal, 400, 160)
     zcrs = [float(zero_crossing_rate(fr)) for fr in fm.frames]
     return np.var(zcrs)
 
