@@ -92,8 +92,8 @@ def read_wav(path) -> AudioBuffer:
         raise UnsupportedEncoding(f"{path}: {channels} channels (only mono/stereo)")
 
     if audio_format == _FMT_PCM and bits == 16:
-        ints = np.frombuffer(raw[: len(raw) - (len(raw) % (2 * channels))], dtype="<i2")
-        samples = ints.astype(np.float64) / 32768.0
+        samples = _from_pcm16(np.frombuffer(
+            raw[: len(raw) - (len(raw) % (2 * channels))], dtype="<i2"))
     elif audio_format == _FMT_FLOAT and bits == 32:
         samples = np.frombuffer(
             raw[: len(raw) - (len(raw) % (4 * channels))], dtype="<f4"
@@ -120,18 +120,17 @@ def _pcm16(samples: np.ndarray) -> np.ndarray:
     return np.clip(np.round(clipped * 32768.0), -32768, 32767).astype("<i2")
 
 
-def quantize_pcm16(buffer: AudioBuffer) -> AudioBuffer:
-    """The buffer that read_wav returns for the file write_wav makes of
-    `buffer`, without the file."""
-    return AudioBuffer(_pcm16(buffer.samples).astype(np.float64) / 32768.0,
-                       buffer.sample_rate)
+def _from_pcm16(ints: np.ndarray) -> np.ndarray:
+    return ints.astype(np.float64) / 32768.0
 
 
-def write_wav(buffer: AudioBuffer, path) -> None:
-    """Write a mono PCM16 WAV. Amplitudes are clamped to [-1, 1] first."""
+def write_wav(buffer: AudioBuffer, path) -> AudioBuffer:
+    """Write a mono PCM16 WAV, amplitudes clamped to [-1, 1] first; returns
+    the buffer that read_wav(path) gives back."""
     if len(buffer) == 0:
         raise EmptyAudio("refusing to write an empty buffer")
-    data_bytes = _pcm16(buffer.samples).tobytes()
+    ints = _pcm16(buffer.samples)
+    data_bytes = ints.tobytes()
 
     header = b"RIFF" + struct.pack("<I", 36 + len(data_bytes)) + b"WAVE"
     fmt = b"fmt " + struct.pack(
@@ -146,6 +145,7 @@ def write_wav(buffer: AudioBuffer, path) -> None:
             fh.write(data_bytes)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return AudioBuffer(_from_pcm16(ints), buffer.sample_rate)
 
 
 def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:

@@ -21,6 +21,9 @@ CONFIG_FORMAT_VERSION = 1
 LEAD_SILENCE_S = 0.3   # noise-only lead of a synthetic clip
 PAD_POLICIES = ("zero-pad-last", "drop-last")
 NORMALIZE_MODES = ("peak", "rms")
+# |snr_db| bound: far beyond PCM16's 96 dB, and far inside the ~6150 dB at
+# which a clip's noise, its tone's RMS over 10**(dB/20), overflows
+SNR_DB_LIMIT = 1000.0
 
 
 @dataclass(frozen=True)   # a cache key of features._mel_bank
@@ -129,8 +132,9 @@ class PipelineConfig:
             (self.clip_s * self.sample_rate
              >= round(LEAD_SILENCE_S * self.sample_rate) + 1,
              f"clip_s must exceed the {LEAD_SILENCE_S} s noise-only lead"),
-            (_level_ok(self.snr_db) and _level_ok(self.snr_db - 6.0),
-             "snr_db and snr_db - 6 must give a positive, finite 10**(dB/20)"),
+            (abs(self.snr_db) <= SNR_DB_LIMIT,
+             f"snr_db must be within +-{SNR_DB_LIMIT:g} dB, so that the "
+             "noise level of each class is a positive, finite float"),
             (self.jitter_sigma_hz >= 0, "jitter_sigma_hz must be >= 0"),
         ]
         for ok, message in checks:
@@ -155,14 +159,6 @@ FIELD_TYPES = {name: ((get_args(hint) or (hint,))[0], bool(get_args(hint)))
 _TYPE_NAMES = {int: "a finite integer", float: "a finite number",
                str: "a string"}
 _FLOAT_MAX = sys.float_info.max
-
-
-def _level_ok(db: float) -> bool:
-    """Whether the amplitude ratio 10**(db/20) is a positive, finite float."""
-    try:
-        return 10.0 ** (db / 20.0) > 0.0
-    except OverflowError:
-        return False
 
 
 def read_config_file(path) -> dict:

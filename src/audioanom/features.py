@@ -20,7 +20,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -73,11 +73,6 @@ def require_finite(X: np.ndarray, vectors) -> None:
         v, j = vectors[bad[0, 0]], bad[0, 1]
         raise NonFiniteFeature(f"clip {v.clip_id!r}: value {v.values[j]} "
                                f"in column {v.names[j]!r}")
-
-
-class CentroidResult(NamedTuple):
-    hz: np.ndarray
-    silent: np.ndarray
 
 
 def pre_emphasis(buffer: AudioBuffer, coeff: float) -> AudioBuffer:
@@ -179,19 +174,17 @@ def zero_crossing_rate(frame: np.ndarray) -> np.ndarray:
 
 
 def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
-                      n_fft: int) -> CentroidResult:
-    """Power-weighted mean frequency along the last axis, one per spectrum;
-    all-zero spectra flag as silent at 0 Hz."""
+                      n_fft: int) -> np.ndarray:
+    """Power-weighted mean frequency in Hz along the last axis, one per
+    spectrum; an all-zero spectrum gives 0 Hz."""
     power_bins = np.asarray(power_bins, dtype=np.float64)
     n_bins = power_bins.shape[-1] if power_bins.ndim else 0
     if n_bins != n_fft // 2 + 1:
         raise ValueError(f"expected {n_fft // 2 + 1} bins, got {n_bins}")
     total = power_bins.sum(axis=-1)
-    silent = total == 0.0
     freqs = np.arange(n_bins) * sample_rate / n_fft
-    hz = np.divide((freqs * power_bins).sum(axis=-1), total,
-                   out=np.zeros_like(total), where=~silent)
-    return CentroidResult(hz, silent=np.asarray(silent))
+    return np.divide((freqs * power_bins).sum(axis=-1), total,
+                     out=np.zeros_like(total), where=total != 0.0)
 
 
 def feature_schema(n_coeffs: int) -> tuple:
@@ -213,7 +206,7 @@ def extract_clip_features(
     fm = frame_signal(segment, cfg.frame_len, cfg.hop)
     zcrs = zero_crossing_rate(fm.frames)
     centroids = spectral_centroid(power_spectrogram(fm, cfg.n_fft),
-                                  segment.sample_rate, cfg.n_fft).hz
+                                  segment.sample_rate, cfg.n_fft)
 
     values = np.concatenate([
         coeffs.mean(axis=0),

@@ -15,7 +15,6 @@ import math
 import operator
 import reprlib
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -399,13 +398,10 @@ def train_svm(data: FeatureSet, lam: float, epochs: int,
     Binary only; labels map to -1/+1 by class order. Features are
     standardized by train-set mean/std (zero-variance features get std 1).
     """
-    if not data.vectors:
-        raise EmptyDataset("no training instances")
+    X, y = _training_arrays(data)
     if len(data.class_names) != 2:
         raise NotBinary(f"SVM needs exactly 2 classes, "
                         f"got {len(data.class_names)}")
-    X = data.matrix()
-    y = data.labels()
     for c in (0, 1):
         if not np.any(y == c):
             raise EmptyClass(f"class {data.class_names[c]!r} has no instances")
@@ -435,17 +431,13 @@ def train_svm(data: FeatureSet, lam: float, epochs: int,
                      lam, epochs, seed)
 
 
-@dataclass
 class EnsembleModel:
-    members: list              # (model, weight) pairs, weights as given
-    class_names: tuple = ()
-    feature_names: tuple = ()
+    """(model, weight) pairs, weights as given, named as the first member."""
 
-    def __post_init__(self):
-        if not self.class_names:
-            self.class_names = self.members[0][0].class_names
-        if not self.feature_names:
-            self.feature_names = self.members[0][0].feature_names
+    def __init__(self, members: list):
+        self.members = members
+        self.feature_names = members[0][0].feature_names
+        self.class_names = members[0][0].class_names
 
     def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
         """Weighted sum of the members' (n, n_classes) matrices."""

@@ -11,8 +11,7 @@ import functools
 import multiprocessing
 import os
 
-from .audio_io import (AudioBuffer, quantize_pcm16, read_wav, resample_linear,
-                       write_wav)
+from .audio_io import AudioBuffer, read_wav, resample_linear, write_wav
 from .config import PipelineConfig
 from .errors import ConfigError, SignalTooShort, TooShortForProfile
 from .evaluate import (
@@ -54,19 +53,20 @@ def preprocess_clip(buf: AudioBuffer, cfg: PipelineConfig):
     with contextlib.suppress(TooShortForProfile):
         buf = spectral_subtract(buf, cfg.lead_ms, cfg.n_fft, cfg.alpha,
                                 cfg.beta)
-    buf = normalize(buf, cfg.normalize_mode, cfg.normalize_target).buffer
+    buf = normalize(buf, cfg.normalize_mode, cfg.normalize_target)
     return segment(buf, cfg.seg_len_s, cfg.pad_policy).segments
 
 
-def _write_segments(clip_id, label, segments, out_dir) -> list:
-    """Write one clip's segments as WAVs; returns their manifest rows."""
-    seg_rows = []
+def _write_segments(clip_id, label, segments, out_dir) -> tuple:
+    """Write one clip's segments as WAVs; returns their manifest rows and
+    the written segments, as read_wav reads them back."""
+    seg_rows, written = [], []
     for j, seg in enumerate(segments):
         seg_id = f"{clip_id}_seg{j:03d}"
         seg_path = os.path.join(out_dir, seg_id + ".wav")
-        write_wav(seg, seg_path)
+        written.append(write_wav(seg, seg_path))
         seg_rows.append((seg_id, seg_path, label))
-    return seg_rows
+    return seg_rows, written
 
 
 def preprocess_manifest(rows, cfg: PipelineConfig, out_dir) -> list:
@@ -76,7 +76,7 @@ def preprocess_manifest(rows, cfg: PipelineConfig, out_dir) -> list:
     seg_rows = []
     for clip_id, path, label in sorted(rows, key=lambda r: r[0]):
         segments = preprocess_clip(read_wav(path), cfg)
-        seg_rows += _write_segments(clip_id, label, segments, out_dir)
+        seg_rows += _write_segments(clip_id, label, segments, out_dir)[0]
     return seg_rows
 
 
@@ -114,15 +114,19 @@ def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:
     """Clip i through synth, preprocess and extract, writing its corpus and
     segment WAVs. Returns its manifest row, its segment rows and their
     feature vectors, which equal the file-based stages' because every stage
-    reads the samples its WAVs hold."""
+    reads the samples its WAVs hold: those write_wav returns."""
     clip_id, label, buf = render_clip(cfg, i)
     path = os.path.join(corpus_dir, clip_id + ".wav")
-    write_wav(buf, path)
-    segments = preprocess_clip(quantize_pcm16(buf), cfg)
-    seg_rows = _write_segments(clip_id, label, segments, seg_dir)
-    vectors = [_segment_features(quantize_pcm16(seg), cfg, seg_id, label)
-               for seg, (seg_id, _, _) in zip(segments, seg_rows)]
+    segments = preprocess_clip(write_wav(buf, path), cfg)
+    seg_rows, written = _write_segments(clip_id, label, segments, seg_dir)
+    vectors = [_segment_features(seg, cfg, seg_id, label)
+               for seg, (seg_id, _, _) in zip(written, seg_rows)]
     return (clip_id, path, label), seg_rows, vectors
+
+
+# OpenBLAS's thread-count setter as each build names it
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 def _one_blas_thread() -> None:
@@ -135,9 +139,7 @@ def _one_blas_thread() -> None:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line}
         for lib in map(ctypes.CDLL, libs):
-            for name in ("scipy_openblas_set_num_threads64_",
-                         "openblas_set_num_threads64_",
-                         "openblas_set_num_threads"):
+            for name in _BLAS_THREAD_SETTERS:
                 if hasattr(lib, name):
                     getattr(lib, name)(1)
     except OSError:

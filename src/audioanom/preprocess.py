@@ -9,7 +9,6 @@ preprocessing, and NLMS is ill-posed without one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +30,6 @@ class AdaptiveFilterState:
     mu: float
     taps: int
     eps: float
-
-
-class NormalizeResult(NamedTuple):
-    buffer: AudioBuffer
-    silent: bool
 
 
 @dataclass(frozen=True)
@@ -120,25 +114,22 @@ def nlms_cancel(
     return AudioBuffer(e, primary.sample_rate), state
 
 
-def normalize(buffer: AudioBuffer, mode: str,
-              target: float) -> NormalizeResult:
-    """Scale to a target peak or RMS level. Silence passes through, flagged."""
+def normalize(buffer: AudioBuffer, mode: str, target: float) -> AudioBuffer:
+    """Scale to a target peak or RMS level; silence passes through as is."""
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
     x = buffer.samples
     if mode == "peak":
         peak = np.max(np.abs(x)) if len(x) else 0.0
         if peak == 0.0:
-            return NormalizeResult(buffer, silent=True)
-        return NormalizeResult(AudioBuffer(x * (target / peak),
-                                           buffer.sample_rate), silent=False)
+            return buffer
+        return AudioBuffer(x * (target / peak), buffer.sample_rate)
     if mode == "rms":
         rms = float(np.sqrt(np.mean(x ** 2))) if len(x) else 0.0
         if rms == 0.0:
-            return NormalizeResult(buffer, silent=True)
-        scaled = np.clip(x * (target / rms), -1.0, 1.0)
-        return NormalizeResult(AudioBuffer(scaled, buffer.sample_rate),
-                               silent=False)
+            return buffer
+        return AudioBuffer(np.clip(x * (target / rms), -1.0, 1.0),
+                           buffer.sample_rate)
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 

@@ -106,6 +106,18 @@ def test_round_trip_within_one_lsb(tmp_path):
     assert np.max(np.abs(recovered - original)) <= 1.0 / 32767
 
 
+def test_write_returns_what_read_reads_back(tmp_path):
+    rng = np.random.default_rng(8)
+    original = np.concatenate([rng.uniform(-1.2, 1.2, size=1000),
+                               [0.0, 1.0, -1.0, 0.5 / 32768, -0.5 / 32768]])
+    path = tmp_path / "wr.wav"
+    written = write_wav(AudioBuffer(original, 8000), path)
+    back = read_wav(path)
+    assert written.sample_rate == back.sample_rate == 8000
+    assert written.samples.dtype == back.samples.dtype == np.float64
+    np.testing.assert_array_equal(written.samples, back.samples)
+
+
 def test_resample_identity():
     buf = AudioBuffer(np.arange(10) / 10.0, 16000)
     assert resample_linear(buf, 16000) is buf

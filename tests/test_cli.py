@@ -423,6 +423,16 @@ BAD_INPUT = {
     "snr_db_underflows_level_synth": ("synth", None, [
         "--n-per-class", "3", "--snr-db=-7000"], 2,
         ["snr_db", "positive, finite"]),
+    # 10**(dB/20) is a positive float here, but the noise level it sets
+    # overflows: the anomalous class at -6150, both classes at -6200
+    "snr_db_noise_overflows": ("pipeline", None, [
+        "--n-per-class", "3", "--snr-db=-6150"], 2, ["snr_db", "1000 dB"]),
+    "snr_db_noise_overflows_synth": ("synth", None, [
+        "--n-per-class", "3", "--snr-db=-6150"], 2, ["snr_db", "1000 dB"]),
+    "snr_db_noise_overflows_both": ("pipeline", None, [
+        "--n-per-class", "3", "--snr-db=-6200"], 2, ["snr_db", "1000 dB"]),
+    "snr_db_noise_overflows_both_synth": ("synth", None, [
+        "--n-per-class", "3", "--snr-db=-6200"], 2, ["snr_db", "1000 dB"]),
     "negative_seed": ("pipeline", None, ["--seed", "-1"], 2, ["seed"]),
     "clip_within_lead": ("pipeline", None, ["--clip-s", "0.1"], 2,
                          ["clip_s", "0.3 s noise-only lead"]),
@@ -771,7 +781,7 @@ def test_pipeline_worker_error_reaches_cli(tmp_path, monkeypatch, capsys):
     def failing_write(buf, path):
         if os.path.basename(path).startswith("clip_0005_"):
             raise IoFailure(f"cannot write {path}: injected fault")
-        write_wav(buf, path)
+        return write_wav(buf, path)
 
     monkeypatch.setattr(pipeline, "write_wav", failing_write)
     out = tmp_path / "p"
@@ -784,6 +794,49 @@ def test_pipeline_worker_error_reaches_cli(tmp_path, monkeypatch, capsys):
         capsys.readouterr().err
     assert multiprocessing.active_children() == []
     assert not (out / "features.csv").exists()
+
+
+# Runs _front_end's own pool with each task reporting, in place of a clip,
+# the thread count of every OpenBLAS library its worker loaded.
+_BLAS_PROBE = """
+import json, tempfile
+from make_golden_digests import openblas_getters
+from audioanom import pipeline
+from audioanom.config import PipelineConfig
+
+def threads():
+    return [get and get() for get in openblas_getters("num_threads")]
+
+def probe(cfg, corpus_dir, seg_dir, i):
+    return (i, threads()), [], []
+
+pipeline._run_clip = probe
+with tempfile.TemporaryDirectory() as tmp:
+    rows, _, _ = pipeline._front_end(PipelineConfig(n_per_class=2),
+                                     tmp + "/corpus", tmp + "/segments")
+print(json.dumps({"parent": threads(), "workers": [t for _, t in rows]}))
+"""
+
+
+def test_pool_workers_run_one_blas_thread():
+    # the benchmark sets OPENBLAS_NUM_THREADS=1 and so cannot see the pool
+    # initializer; without it, workers run as many BLAS threads as CPUs
+    import audioanom
+    src = os.path.dirname(os.path.dirname(audioanom.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.path.dirname(__file__)])
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE],
+                         capture_output=True, text=True, check=True,
+                         env=env, timeout=120)
+    counts = json.loads(out.stdout)
+    if not counts["parent"]:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    # a renamed export would make the initializer a silent no-op
+    assert None not in counts["parent"], "OpenBLAS exports no known name"
+    if max(counts["parent"]) == 1:
+        pytest.skip("OpenBLAS already runs one thread here")
+    assert counts["workers"] == [[1] * len(counts["parent"])] * 4
 
 
 def test_config_file_and_unknown_key(tmp_path, capsys):

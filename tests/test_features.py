@@ -249,20 +249,22 @@ def test_zcr_matrix_equals_rows(length):
 def test_centroid_single_bin():
     bins = np.zeros(257)
     bins[16] = 5.0
-    result = spectral_centroid(bins, SR, 512)
-    assert float(result.hz) == pytest.approx(500.0)
-    assert not bool(result.silent)
+    hz = spectral_centroid(bins, SR, 512)
+    assert hz.shape == ()
+    assert float(hz) == pytest.approx(500.0)
 
 
 def test_centroid_silent():
-    result = spectral_centroid(np.zeros(257), SR, 512)
-    assert float(result.hz) == 0.0
-    assert bool(result.silent)
+    # an all-zero spectrum gives 0 Hz, not the NaN of 0/0
+    with np.errstate(all="raise"):
+        hz = spectral_centroid(np.zeros(257), SR, 512)
+    assert hz.shape == ()
+    assert float(hz) == 0.0
 
 
 def test_centroid_flat_spectrum():
-    result = spectral_centroid(np.ones(257), SR, 512)
-    assert float(result.hz) == pytest.approx(4000.0)
+    hz = spectral_centroid(np.ones(257), SR, 512)
+    assert float(hz) == pytest.approx(4000.0)
 
 
 def test_centroid_matrix_equals_rows():
@@ -272,11 +274,11 @@ def test_centroid_matrix_equals_rows():
     power[5, 1:] = 0.0
     got = spectral_centroid(power, SR, 512)
     rows = [spectral_centroid(row, SR, 512) for row in power]
-    np.testing.assert_array_equal(got.hz, [r.hz for r in rows])
-    np.testing.assert_array_equal(got.silent, [r.silent for r in rows])
-    assert got.silent.tolist() == [False, False, False, True, False, False,
-                                   False]
-    assert got.hz[3] == 0.0
+    assert got.shape == (7,)
+    np.testing.assert_array_equal(got, rows)
+    # the silent row and the DC-only row both sit at 0 Hz, and only they
+    assert (got == 0.0).tolist() == [False, False, False, True, False, True,
+                                     False]
 
 
 def test_centroid_wrong_bin_count():
@@ -289,8 +291,8 @@ def test_centroid_scale_invariant_and_bounded():
     bins = rng.uniform(0, 1, size=257)
     a = spectral_centroid(bins, SR, 512)
     b = spectral_centroid(10.0 * bins, SR, 512)
-    assert float(a.hz) == pytest.approx(float(b.hz), rel=1e-12)
-    assert 0 <= float(a.hz) <= SR / 2
+    assert float(a) == pytest.approx(float(b), rel=1e-12)
+    assert 0 <= float(a) <= SR / 2
 
 
 # --- extract_clip_features ---
@@ -335,7 +337,7 @@ def _per_frame_reference(segment, cfg):
     for plain, emph in zip(raw.frames, emphasized.frames):
         zcrs.append(float(zero_crossing_rate(plain)))
         power = np.abs(np.fft.rfft(plain * window, n=cfg.n_fft)) ** 2
-        centroids.append(float(spectral_centroid(power, sr, cfg.n_fft).hz))
+        centroids.append(float(spectral_centroid(power, sr, cfg.n_fft)))
         power = np.abs(np.fft.rfft(emph * window, n=cfg.n_fft)) ** 2
         log_e = np.log(fb @ power + 1e-10)
         coeffs.append(naive_dct2_ortho(log_e)[:cfg.n_coeffs])

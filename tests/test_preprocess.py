@@ -218,33 +218,36 @@ def test_nlms_identifies_known_fir():
 # --- normalize ---
 
 def test_peak_normalize():
-    result = normalize(AudioBuffer([0.1, -0.2], SR), "peak", 0.99)
-    assert not result.silent
-    np.testing.assert_allclose(result.buffer.samples, [0.495, -0.99])
+    buf = AudioBuffer([0.1, -0.2], SR)
+    result = normalize(buf, "peak", 0.99)
+    assert result is not buf and result.samples.any()
+    np.testing.assert_allclose(result.samples, [0.495, -0.99])
 
 
 def test_normalize_silence_flagged():
-    buf = AudioBuffer(np.zeros(100), SR)
-    result = normalize(buf, "peak", 0.99)
-    assert result.silent
-    assert result.buffer is buf
+    # silence is read from the data: no nonzero sample, passed through
+    for mode in ("peak", "rms"):
+        buf = AudioBuffer(np.zeros(100), SR)
+        result = normalize(buf, mode, 0.99)
+        assert not result.samples.any()
+        assert result is buf
 
 
 def test_rms_normalize_constant():
     result = normalize(AudioBuffer(np.full(100, 0.5), SR), "rms", 0.1)
-    np.testing.assert_allclose(result.buffer.samples, 0.1)
+    np.testing.assert_allclose(result.samples, 0.1)
 
 
 def test_rms_normalize_clips():
     result = normalize(AudioBuffer([0.01, 1.0], SR), "rms", 0.9)
-    assert np.max(np.abs(result.buffer.samples)) <= 1.0
+    assert np.max(np.abs(result.samples)) <= 1.0
 
 
 def test_peak_normalize_idempotent_bitwise():
     rng = np.random.default_rng(4)
     buf = AudioBuffer(rng.uniform(-0.5, 0.5, size=256), SR)
-    once = normalize(buf, "peak", 0.99).buffer
-    twice = normalize(once, "peak", 0.99).buffer
+    once = normalize(buf, "peak", 0.99)
+    twice = normalize(once, "peak", 0.99)
     np.testing.assert_array_equal(once.samples, twice.samples)
 
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from audioanom.audio_io import AudioBuffer, read_wav
-from audioanom.config import PipelineConfig
+from audioanom.audio_io import AudioBuffer, read_wav, write_wav
+from audioanom.config import SNR_DB_LIMIT, PipelineConfig
 from audioanom.dsp import frame_signal
 from audioanom.errors import ConfigError
 from audioanom.features import zero_crossing_rate
-from audioanom.synthgen import generate_corpus, load_manifest
+from audioanom.synthgen import generate_corpus, load_manifest, render_clip
 
 
 def small_spec(**kwargs):
@@ -53,6 +53,20 @@ def test_invalid_spec_rejected(tmp_path):
     with pytest.raises(ConfigError, match="0.3 s noise-only lead"):
         generate_corpus(PipelineConfig(clip_s=0.2), tmp_path / "corpus")
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("snr_db", [-SNR_DB_LIMIT, SNR_DB_LIMIT])
+def test_extreme_snr_renders_finite_nonzero_clips(tmp_path, snr_db):
+    # both classes at the most extreme accepted level on each side: the
+    # float clip and the samples its WAV holds are finite and not all zero
+    cfg = PipelineConfig(snr_db=snr_db, n_per_class=1).validate()
+    for i in (0, 1):
+        _, label, buf = render_clip(cfg, i)
+        written = write_wav(buf, tmp_path / f"{label}.wav")
+        for samples in (buf.samples, written.samples):
+            assert np.all(np.isfinite(samples)) and samples.any(), label
+    with pytest.raises(ConfigError, match="snr_db"):
+        PipelineConfig(snr_db=np.nextafter(snr_db, 2 * snr_db)).validate()
 
 
 def _frame_zcr_variance(buf, skip_s=0.3):
