@@ -62,7 +62,7 @@ class LengthMismatch(AudioAnomError):
 # --- features ---
 
 class DegenerateFilter(ConfigError):
-    """Two mel filter centers collapse onto the same FFT bin."""
+    """Two mel filter centers share an FFT bin, or a filter weighs none."""
 
 
 class FrameTooShort(AudioAnomError):

@@ -11,7 +11,8 @@ spectra are inherent. ZCR reads the plain, unwindowed frames.
 
 The settings (frame_len, hop, n_fft, n_mels, n_coeffs, fmin, fmax,
 pre_emphasis) come from a PipelineConfig, whose validate() checks them once;
-the mel bank is built once per (config, sample rate) and shared.
+the mel bank is laid out once per (config, sample rate) and shared. No step
+calls BLAS, so no OpenBLAS kernel choice moves the features.
 """
 
 from __future__ import annotations
@@ -106,25 +107,31 @@ def mel_filterbank(cfg: PipelineConfig, sample_rate: int) -> np.ndarray:
     hz_pts = mel_to_hz(mel_pts)
 
     center_bins = np.floor(hz_pts[1:-1] * cfg.n_fft / sample_rate).astype(int)
-    # monotonic, so a repeat is a neighbour; np.unique would import numpy.ma
-    if np.any(center_bins[1:] == center_bins[:-1]):
-        raise DegenerateFilter(
-            f"n_mels={cfg.n_mels} mel filters collapse onto shared FFT bins "
-            f"at n_fft={cfg.n_fft}, sample_rate={sample_rate}")
-
     bin_freqs = np.arange(n_bins) * sample_rate / cfg.n_fft
     lo, center, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
     rising = (bin_freqs - lo) / (center - lo)
     falling = (hi - bin_freqs) / (hi - center)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    fb = np.fmax(0.0, np.minimum(rising, falling))   # NaN from 0/0 -> 0
+    # monotonic, so a repeat is a neighbour; np.unique would import numpy.ma
+    if np.any(center_bins[1:] == center_bins[:-1]) or not fb.any(axis=1).all():
+        raise DegenerateFilter(
+            f"n_mels={cfg.n_mels} mel filters collapse onto shared FFT bins "
+            f"or onto none, at n_fft={cfg.n_fft}, sample_rate={sample_rate}")
+    return fb
 
 
 @functools.lru_cache(maxsize=None)
-def _mel_bank(cfg: PipelineConfig, sample_rate: int) -> np.ndarray:
-    """mel_filterbank once per (config, sample_rate); shared, so read-only."""
+def _mel_bank(cfg: PipelineConfig, sample_rate: int) -> tuple:
+    """mel_filterbank's nonzero weights as (bins, weights, starts): filter m
+    weighs bin bins[j] by weights[j] for j from starts[m] to the next start.
+    Built once per (config, sample_rate); shared, so read-only."""
     fb = mel_filterbank(cfg, sample_rate)
-    fb.flags.writeable = False
-    return fb
+    filters, bins = np.nonzero(fb)
+    layout = (bins, fb[filters, bins],
+              np.searchsorted(filters, np.arange(len(fb))))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def mfcc(buffer: AudioBuffer,
@@ -132,22 +139,24 @@ def mfcc(buffer: AudioBuffer,
     """Frame-level MFCCs, shape (num_frames, n_coeffs).
 
     Chain: pre-emphasis, framing, Hann-windowed power spectrum, mel bank,
-    log (1e-10 floor), orthonormal DCT-II, keep the first n_coeffs.
+    log (1e-10 floor), orthonormal DCT-II, keep the first n_coeffs. Neither
+    the mel sum over the bank's nonzero weights nor the einsum calls BLAS.
     """
     emphasized = pre_emphasis(buffer, cfg.pre_emphasis)
     fm = frame_signal(emphasized, cfg.frame_len, cfg.hop)
     if fm.frames.shape[0] == 0:
         raise SignalTooShort(
             f"need at least {cfg.frame_len} samples, got {len(buffer)}")
-    energies = (power_spectrogram(fm, cfg.n_fft)
-                @ _mel_bank(cfg, buffer.sample_rate).T)
+    bins, weights, starts = _mel_bank(cfg, buffer.sample_rate)
+    energies = np.add.reduceat(
+        power_spectrogram(fm, cfg.n_fft)[:, bins] * weights, starts, axis=1)
     log_e = np.log(energies + LOG_FLOOR)
     # orthonormal DCT-II basis, first n_coeffs rows only
     n = cfg.n_mels
     k = np.arange(cfg.n_coeffs)[:, None]
     scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
     basis = scale * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
-    return log_e @ basis.T
+    return np.einsum("fm,km->fk", log_e, basis)
 
 
 def zero_crossing_rate(frame: np.ndarray) -> np.ndarray:

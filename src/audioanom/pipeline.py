@@ -6,7 +6,6 @@ single config + seed. The CLI is a thin wrapper around these functions.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import multiprocessing
 import os
@@ -124,28 +123,6 @@ def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:
     return (clip_id, path, label), seg_rows, vectors
 
 
-# OpenBLAS's thread-count setter as each build names it
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
-                        "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: keep OpenBLAS to the worker's own thread. Its own
-    threads would compete with the other workers for the same CPUs: on
-    2 CPUs a default run took longer than a serial one. A no-op where numpy
-    uses another BLAS or the library cannot be found; it must not raise,
-    since a pool replaces a worker whose initializer fails, forever."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line}
-        for lib in map(ctypes.CDLL, libs):
-            for name in _BLAS_THREAD_SETTERS:
-                if hasattr(lib, name):
-                    getattr(lib, name)(1)
-    except OSError:
-        pass
-
-
 def _front_end(cfg: PipelineConfig, corpus_dir, seg_dir) -> tuple:
     """synth -> preprocess -> extract over every clip, one clip per task on
     a process pool as wide as the usable CPUs. Returns the corpus rows in
@@ -156,9 +133,9 @@ def _front_end(cfg: PipelineConfig, corpus_dir, seg_dir) -> tuple:
     n_clips = 2 * cfg.n_per_class
     width = min(len(os.sched_getaffinity(0)), n_clips)
     # fork: workers inherit the imported modules instead of importing them
-    # again. OpenBLAS stops its threads at a fork; the program has no others.
-    with multiprocessing.get_context("fork").Pool(
-            width, initializer=_one_blas_thread) as pool:
+    # again. OpenBLAS stops its threads at a fork, and workers call no BLAS,
+    # so OpenBLAS starts no threads in them; the program has no others.
+    with multiprocessing.get_context("fork").Pool(width) as pool:
         clips = pool.map(functools.partial(_run_clip, cfg, corpus_dir,
                                            seg_dir), range(n_clips))
     seg_rows, vectors = [], []

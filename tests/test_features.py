@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from audioanom import features
@@ -112,6 +112,12 @@ def test_filterbank_centers_match_independent_recomputation():
 def test_filterbank_degenerate_config_rejected():
     with pytest.raises(DegenerateFilter):
         mel_filterbank(PipelineConfig(n_mels=26, n_coeffs=13, n_fft=64), SR)
+    # one filter between two FFT bins, or in a band so narrow that its
+    # weights come out 0/0, weighs no bin
+    for fmin, fmax in ((10.0, 20.0), (0.0, 1e-300)):
+        with pytest.raises(DegenerateFilter, match="onto none"):
+            mel_filterbank(PipelineConfig(n_mels=1, n_coeffs=1, fmin=fmin,
+                                          fmax=fmax), SR)
 
 
 @pytest.fixture
@@ -139,11 +145,52 @@ def test_filterbank_built_once_per_config(monkeypatch, fresh_mel_cache):
     assert built == [(PipelineConfig(), SR), (other, SR)]
 
 
+def _dense(layout, n_bins):
+    """The (n_filters, n_bins) bank a _mel_bank layout stands for."""
+    bins, weights, starts = layout
+    fb = np.zeros((len(starts), n_bins))
+    fb[np.repeat(np.arange(len(starts)),
+                 np.diff(starts, append=len(bins))), bins] = weights
+    return fb
+
+
 def test_cached_filterbank_is_read_only(fresh_mel_cache):
-    fb = features._mel_bank(PipelineConfig(), SR)
-    np.testing.assert_array_equal(fb, mel_filterbank(PipelineConfig(), SR))
-    with pytest.raises(ValueError):
-        fb[0, 0] = 1.0
+    layout = features._mel_bank(PipelineConfig(), SR)
+    fb = mel_filterbank(PipelineConfig(), SR)
+    np.testing.assert_array_equal(_dense(layout, fb.shape[1]), fb)
+    for a in layout:
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_sparse_mel_projection_matches_dense_bank(data):
+    sr = data.draw(st.integers(100, 48000))
+    nyquist = sr / 2
+    fmin = data.draw(st.floats(0, nyquist, exclude_max=True))
+    cfg = PipelineConfig(
+        sample_rate=sr, frame_len=2, n_fft=2 ** data.draw(st.integers(1, 11)),
+        n_mels=data.draw(st.integers(1, 40)), n_coeffs=1, fmin=fmin,
+        fmax=data.draw(st.none() | st.floats(fmin, nyquist,
+                                             exclude_min=True)))
+    cfg.validate()
+    try:
+        fb = mel_filterbank(cfg, sr)
+    except DegenerateFilter:
+        assume(False)
+    layout = features._mel_bank.__wrapped__(cfg, sr)
+    bins, weights, starts = layout
+    np.testing.assert_array_equal(_dense(layout, fb.shape[1]), fb)
+    # reduceat sums an empty run as the next run's first term, not as 0
+    assert np.all(np.diff(starts, append=len(bins)) > 0)
+    assert np.all(np.isfinite(weights))
+    power = np.random.default_rng(data.draw(st.integers(0, 2 ** 32))).random(
+        (data.draw(st.integers(1, 5)), fb.shape[1]))
+    # the projection mfcc computes, against the dense matrix product
+    np.testing.assert_allclose(
+        np.add.reduceat(power[:, bins] * weights, starts, axis=1),
+        power @ fb.T, rtol=1e-12, atol=0)
 
 
 # --- mfcc ---
