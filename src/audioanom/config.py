@@ -59,7 +59,7 @@ class PipelineConfig:
     mtry: Optional[int] = None     # None -> round(sqrt(n_features))
     max_depth: Optional[int] = None
     min_samples_leaf: int = 1
-    svm_lambda: float = 1e-3
+    svm_lambda: float = 1e-2
     svm_epochs: int = 50
     forest_weight: float = 0.5
     svm_weight: float = 0.5

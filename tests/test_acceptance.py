@@ -180,9 +180,11 @@ def test_criterion_4_nlms_convergence():
             f"{elapsed:.1f}s")
 
 
-def test_criterion_5_end_to_end_separability(tmp_path):
+# 14, 24 and 27 are the seeds of 0-39 that failed when svm_lambda was 1e-3
+@pytest.mark.parametrize("seed", [14, 24, 27, 42])
+def test_criterion_5_end_to_end_separability(tmp_path, seed):
     start = time.perf_counter()
-    cfg = PipelineConfig(n_per_class=100, seed=42).validate()
+    cfg = PipelineConfig(n_per_class=100, seed=seed).validate()
     paths = run_pipeline(cfg, tmp_path / "run")
 
     accs = {}
@@ -201,7 +203,7 @@ def test_criterion_5_end_to_end_separability(tmp_path):
     assert len(report["importance_top10"]) == 10
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    _report("criterion 5 (end-to-end separability)",
+    _report(f"criterion 5 (end-to-end separability, seed {seed})",
             f"forest {accs['forest']:.3f}, svm {accs['svm']:.3f}, "
             f"ensemble {accs['ensemble']:.3f}, {elapsed:.1f}s")
 
