@@ -100,18 +100,18 @@ def mel_filterbank(cfg: PipelineConfig, sample_rate: int) -> np.ndarray:
     between fmin and fmax (plus the two edge points).
     """
     fmax = cfg.fmax if cfg.fmax is not None else sample_rate / 2
-    n_bins = cfg.n_fft // 2 + 1
-
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax),
                           cfg.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
 
     center_bins = np.floor(hz_pts[1:-1] * cfg.n_fft / sample_rate).astype(int)
-    bin_freqs = np.arange(n_bins) * sample_rate / cfg.n_fft
+    bin_freqs = np.arange(cfg.n_fft // 2 + 1) * sample_rate / cfg.n_fft
     lo, center, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
-    rising = (bin_freqs - lo) / (center - lo)
-    falling = (hi - bin_freqs) / (hi - center)
-    fb = np.fmax(0.0, np.minimum(rising, falling))   # NaN from 0/0 -> 0
+    # a band narrower than float spacing divides by 0; fmax maps 0/0 to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rising = (bin_freqs - lo) / (center - lo)
+        falling = (hi - bin_freqs) / (hi - center)
+    fb = np.fmax(0.0, np.minimum(rising, falling))
     # monotonic, so a repeat is a neighbour; np.unique would import numpy.ma
     if np.any(center_bins[1:] == center_bins[:-1]) or not fb.any(axis=1).all():
         raise DegenerateFilter(
