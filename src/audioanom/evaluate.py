@@ -208,6 +208,7 @@ def emit_report(report: EvaluationReport, path) -> None:
     """Write the report as stable-key-order JSON so files are diffable."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
+            # streamed, not json.dumps and one write: bounds peak memory
             json.dump(report_to_dict(report), fh, indent=1, sort_keys=True)
             fh.write("\n")
     except OSError as exc:

@@ -3,12 +3,13 @@ Gini feature importance, L2-regularized linear SVM (stochastic subgradient),
 and a weighted soft-voting ensemble.
 
 All training is a pure function of (data, params, seed); per-tree RNG
-streams make forest training reproducible regardless of evaluation order.
-Models persist to a single self-describing JSON document (format_version 1).
+streams let the trees grow on pool_map workers in any order. Models persist
+to a single self-describing JSON document (format_version 1).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -28,6 +29,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .features import FeatureSet, FeatureVector, require_finite
+from .parallel import pool_map
 
 MODEL_FORMAT_VERSION = 1
 
@@ -308,30 +310,34 @@ def _check_mtry(mtry: Optional[int], n_features: int) -> int:
     return mtry
 
 
+def _grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int, max_depth,
+               min_samples_leaf: int, mtry: int, seed: int, i: int) -> tuple:
+    """Tree i of a forest and its impurity decrease: its RNG stream (seed,
+    i) draws its bootstrap rows, then its per-node features."""
+    rng = np.random.default_rng([seed, i])
+    idx = rng.integers(0, len(y), size=len(y))
+    return _build_tree(X[idx], y[idx], n_classes, max_depth,
+                       min_samples_leaf, rng, mtry)
+
+
 def train_forest(data: FeatureSet, n_trees: int,
                  mtry: Optional[int] = None,
                  max_depth: Optional[int] = None, min_samples_leaf: int = 1,
                  seed: int = 0) -> RandomForest:
-    """Bagged CART forest with per-tree RNG streams derived from (seed, i):
-    each tree draws its bootstrap rows, then its per-node features."""
+    """Bagged CART forest, one _grow_tree task per tree on pool_map's pool,
+    importances summed in tree order: the same forest at any pool width."""
     X, y = _training_arrays(data)
-    n, n_features = X.shape
+    n_features = X.shape[1]
     mtry = _check_mtry(mtry, n_features)
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
 
-    trees = []
-    total_importance = np.zeros(n_features)
-    for i in range(n_trees):
-        rng = np.random.default_rng([seed, i])
-        idx = rng.integers(0, n, size=n)
-        tree, importances = _build_tree(X[idx], y[idx],
-                                        len(data.class_names), max_depth,
-                                        min_samples_leaf, rng, mtry)
-        trees.append(tree)
-        total_importance += importances
-    return RandomForest(trees, data.names, data.class_names, mtry, seed,
-                        _normalized(total_importance))
+    grown = pool_map(functools.partial(
+        _grow_tree, X, y, len(data.class_names), max_depth,
+        min_samples_leaf, mtry, seed), range(n_trees))
+    importances = sum((imp for _, imp in grown), np.zeros(n_features))
+    return RandomForest([tree for tree, _ in grown], data.names,
+                        data.class_names, mtry, seed, _normalized(importances))
 
 
 def feature_importance(forest: RandomForest) -> list:
@@ -602,6 +608,7 @@ def model_from_dict(d: dict):
 
 def save_model(model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
+        # streamed, not json.dumps and one write: bounds peak memory
         json.dump(model.to_dict(), fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import multiprocessing
 import os
 
 from .audio_io import AudioBuffer, read_wav, resample_linear, write_wav
@@ -38,6 +37,7 @@ from .models import (
     train_forest,
     train_svm,
 )
+from .parallel import pool_map
 from .preprocess import n_segments, normalize, segment, spectral_subtract
 from .synthgen import render_clip, write_manifest
 
@@ -124,20 +124,14 @@ def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:
 
 
 def _front_end(cfg: PipelineConfig, corpus_dir, seg_dir) -> tuple:
-    """synth -> preprocess -> extract over every clip, one clip per task on
-    a process pool as wide as the usable CPUs. Returns the corpus rows in
-    clip order and the segment rows and feature set in clip_id order, as
-    generate_corpus, preprocess_manifest and extract_manifest give them."""
+    """synth -> preprocess -> extract, one clip per pool_map task. Returns
+    the corpus rows in clip order and the segment rows and feature set in
+    clip_id order, as generate_corpus, preprocess_manifest and
+    extract_manifest give them; a failure is the lowest failing clip's."""
     os.makedirs(corpus_dir, exist_ok=True)
     os.makedirs(seg_dir, exist_ok=True)
-    n_clips = 2 * cfg.n_per_class
-    width = min(len(os.sched_getaffinity(0)), n_clips)
-    # fork: workers inherit the imported modules instead of importing them
-    # again. OpenBLAS stops its threads at a fork, and workers call no BLAS,
-    # so OpenBLAS starts no threads in them; the program has no others.
-    with multiprocessing.get_context("fork").Pool(width) as pool:
-        clips = pool.map(functools.partial(_run_clip, cfg, corpus_dir,
-                                           seg_dir), range(n_clips))
+    clips = pool_map(functools.partial(_run_clip, cfg, corpus_dir, seg_dir),
+                     range(2 * cfg.n_per_class))
     seg_rows, vectors = [], []
     for _, clip_seg_rows, clip_vectors in sorted(clips,
                                                  key=lambda c: c[0][0]):

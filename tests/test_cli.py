@@ -11,6 +11,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -164,6 +165,34 @@ def test_train_and_evaluate(extracted, tmp_path):
         assert "precision" in report["per_class"][cls]
         assert "recall" in report["per_class"][cls]
     assert len(report["importance_top10"]) == 10
+
+
+_CLI = ("import sys; from audioanom.cli import main; "
+        "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pins a child process to one CPU")
+def test_train_writes_the_same_models_on_one_cpu(extracted, tmp_path):
+    # on one CPU the forest's trees grow in-process, otherwise on the pool
+    import audioanom
+    _, features = extracted
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(audioanom.__file__))}
+    one_cpu = {min(os.sched_getaffinity(0))}
+
+    def pin():
+        os.sched_setaffinity(0, one_cpu)
+
+    for out, preexec_fn in ((tmp_path / "one", pin), (tmp_path / "all", None)):
+        subprocess.run([sys.executable, "-c", _CLI, "train", "--features",
+                        str(features), "--out", str(out), "--n-trees", "12",
+                        "--svm-epochs", "2"], check=True, env=env,
+                       preexec_fn=preexec_fn, timeout=120)
+    for name in ("forest", "svm", "ensemble"):
+        model = f"model_{name}.json"
+        assert (tmp_path / "one" / model).read_bytes() == \
+            (tmp_path / "all" / model).read_bytes(), model
 
 
 def test_evaluate_schema_mismatch(extracted, tmp_path, capsys):
@@ -796,24 +825,63 @@ def test_pipeline_worker_error_reaches_cli(tmp_path, monkeypatch, capsys):
     assert not (out / "features.csv").exists()
 
 
-# Runs _front_end's own pool over real clips, each task also reporting how
-# many OS threads its worker holds once the clip's work is done.
+def test_pipeline_worker_error_names_the_lowest_failing_clip(
+        tmp_path, monkeypatch, capsys):
+    # clip 6 fails at once while clip 1 is still at work; the error is
+    # clip 1's, as a serial run would raise it
+    from audioanom import pipeline
+    from audioanom.errors import IoFailure
+
+    write_wav = pipeline.write_wav
+
+    def failing_write(buf, path):
+        name = os.path.basename(path)
+        if name.startswith("clip_0001_"):
+            time.sleep(1)
+        if name.startswith(("clip_0001_", "clip_0006_")):
+            raise IoFailure(f"cannot write {path}: injected fault")
+        return write_wav(buf, path)
+
+    monkeypatch.setattr(pipeline, "write_wav", failing_write)
+    out = tmp_path / "p"
+    with _deadline(60):
+        code = main(["pipeline", "--out", str(out), "--n-per-class", "4",
+                     "--seed", "11", "--n-trees", "2", "--svm-epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out / 'corpus' / 'clip_0001_'}" in err
+    assert "clip_0006_" not in err
+    assert multiprocessing.active_children() == []
+
+
+# Runs _front_end's own pool over real clips, then train_forest's over their
+# features, each task also reporting how many OS threads its worker holds
+# once its clip or tree is done.
 _THREAD_PROBE = """
 import json, os, tempfile
-from audioanom import pipeline
+from audioanom import models, pipeline
 from audioanom.config import PipelineConfig
 
-run_clip = pipeline._run_clip
+run_clip, grow_tree = pipeline._run_clip, models._grow_tree
 
-def probe(*args):
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+def probe_clip(*args):
     row, seg_rows, vectors = run_clip(*args)
-    return row + (len(os.listdir("/proc/self/task")),), seg_rows, vectors
+    return row + (threads(),), seg_rows, vectors
 
-pipeline._run_clip = probe
+def probe_tree(*args):
+    tree, importances = grow_tree(*args)
+    return {**tree, "threads": threads()}, importances
+
+pipeline._run_clip, models._grow_tree = probe_clip, probe_tree
 with tempfile.TemporaryDirectory() as tmp:
-    rows, _, _ = pipeline._front_end(PipelineConfig(n_per_class=2),
-                                     tmp + "/corpus", tmp + "/segments")
-print(json.dumps([row[-1] for row in rows]))
+    rows, _, features = pipeline._front_end(
+        PipelineConfig(n_per_class=2), tmp + "/corpus", tmp + "/segments")
+forest = models.train_forest(features, n_trees=4)
+print(json.dumps({"clips": [row[-1] for row in rows],
+                  "trees": [tree["threads"] for tree in forest.trees]}))
 """
 
 
@@ -831,7 +899,7 @@ def test_pool_workers_start_no_blas_thread():
     out = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
                          capture_output=True, text=True, check=True,
                          env=env, timeout=120)
-    assert json.loads(out.stdout) == [1] * 4
+    assert json.loads(out.stdout) == {"clips": [1] * 4, "trees": [1] * 4}
 
 
 def test_config_file_and_unknown_key(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import functools
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audioanom import models, parallel
 from audioanom.errors import (ConfigError, EmptyDataset, MalformedModel,
                               NonFiniteFeature, NotBinary, SchemaMismatch)
 from audioanom.features import FeatureSet, FeatureVector
@@ -208,6 +211,71 @@ def test_forest_pure_leaves_zero_importance():
     forest = train_forest(data, n_trees=3, mtry=1, seed=0)
     assert all(len(t["nodes"]) == 1 for t in forest.trees)
     np.testing.assert_array_equal(forest.importances, 0.0)
+
+
+def _forest_data():
+    rng = np.random.default_rng(37)
+    X = rng.normal(size=(60, 6))
+    labels = ["A" if x[0] + 0.5 * x[3] + 0.3 * rng.normal() > 0 else "B"
+              for x in X]
+    return make_set(X, labels)
+
+
+def _one_cpu(monkeypatch):
+    """Make pool_map see one usable CPU, so it runs its tasks in-process."""
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.mark.parametrize("n_trees, mtry, max_depth, seed", [
+    (1, None, None, 0), (2, 1, None, 5), (5, 3, 2, 11), (9, 6, None, 3),
+    (13, None, 4, 42)])
+def test_forest_is_the_same_at_any_pool_width(monkeypatch, n_trees, mtry,
+                                              max_depth, seed):
+    data = _forest_data()
+    pooled = train_forest(data, n_trees, mtry, max_depth, seed=seed)
+    _one_cpu(monkeypatch)
+    serial = train_forest(data, n_trees, mtry, max_depth, seed=seed)
+    assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
+    assert pooled.importances.tobytes() == serial.importances.tobytes()
+
+
+def _forest_json(data, seed):
+    return json.dumps(train_forest(data, n_trees=3, seed=seed).to_dict())
+
+
+def test_forest_trains_inside_a_pool_task():
+    # a pool worker is daemonic and can start no pool of its own, so
+    # train_forest grows its trees in the worker
+    data = _forest_data()
+    in_tasks = parallel.pool_map(functools.partial(_forest_json, data),
+                                 [1, 2])
+    assert in_tasks == [_forest_json(data, 1), _forest_json(data, 2)]
+
+
+_grow_tree = models._grow_tree
+_grown_here = []
+
+
+def _counted_grow_tree(*args):
+    # module level, so the pool can pickle it by name; a forked worker
+    # counts in its own copy of _grown_here
+    _grown_here.append(args[-1])
+    return _grow_tree(*args)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="with one usable CPU the trees grow in-process")
+def test_trees_grow_in_pool_workers(monkeypatch):
+    # the parent grows no tree, so the training heap lives in the workers
+    data = _forest_data()
+    monkeypatch.setattr(models, "_grow_tree", _counted_grow_tree)
+    _grown_here.clear()
+    assert len(train_forest(data, n_trees=4, seed=1).trees) == 4
+    assert _grown_here == []
+    # the counter does see trees grown in this process
+    _one_cpu(monkeypatch)
+    train_forest(data, n_trees=4, seed=1)
+    assert _grown_here == [0, 1, 2, 3]
 
 
 # --- train_svm ---
