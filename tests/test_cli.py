@@ -7,6 +7,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import platform
 import signal
 import struct
 import subprocess
@@ -900,6 +901,90 @@ def test_pool_workers_start_no_blas_thread():
                          capture_output=True, text=True, check=True,
                          env=env, timeout=120)
     assert json.loads(out.stdout) == {"clips": [1] * 4, "trees": [1] * 4}
+
+
+# Each pool_map task frees eight 1 MiB arrays a round for 21 rounds and
+# reports the minor faults of rounds 2-21: glibc's default thresholds trim
+# the freed heap top, so each round faults its 8 MiB in again.
+_FAULT_PROBE = """
+import json, resource
+import numpy as np
+from audioanom.parallel import pool_map
+
+def churn(_):
+    for r in range(21):
+        if r == 1:
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 17) for _ in range(8)]
+        del arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+
+print(json.dumps(pool_map(churn, range(2))))
+"""
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux")
+         and platform.libc_ver()[0] == "glibc"
+         and len(os.sched_getaffinity(0)) >= 2),
+    reason="needs glibc's mallopt and a pool of two workers")
+def test_pool_workers_keep_freed_memory_mapped():
+    # a fresh interpreter, since the pytest process's own glibc thresholds
+    # (moved by what it has freed so far) are what forked workers inherit;
+    # with glibc's defaults each task takes about 40k faults
+    import audioanom
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(audioanom.__file__))}
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
+                         capture_output=True, text=True, check=True,
+                         env=env, timeout=120)
+    faults = json.loads(out.stdout)
+    assert len(faults) == 2 and max(faults) < 1000, faults
+
+
+class _Libc:
+    """A libc whose mallopt records its calls and returns `ok`."""
+
+    def __init__(self, ok):
+        self.ok, self.calls = ok, []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.ok
+
+
+def test_keep_heap_sets_both_thresholds_or_neither(monkeypatch):
+    # never the real mallopt here: it would change this process's allocator
+    from audioanom import parallel
+    libc = _Libc(1)
+    monkeypatch.setattr(parallel.ctypes, "CDLL", lambda name: libc)
+    parallel._keep_heap()
+    assert libc.calls == [(-3, 16 << 20), (-1, 64 << 20)]
+
+    # a refused mmap threshold leaves the trim threshold alone: either
+    # setting alone faults more than glibc's defaults
+    libc = _Libc(0)
+    parallel._keep_heap()
+    assert libc.calls == [(-3, 16 << 20)]
+
+    # the in-process path leaves the caller's allocator as it is
+    libc = _Libc(1)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    assert parallel.pool_map(abs, [-1, -2]) == [1, 2]
+    assert libc.calls == []
+
+
+def test_keep_heap_never_raises(monkeypatch):
+    # a pool whose initializer raises respawns its workers without end, so
+    # no pool is started here: the initializer is called directly
+    from audioanom import parallel
+
+    def no_libc(name):
+        raise OSError("no such library")
+
+    for cdll in (no_libc, lambda name: object()):  # object(): no mallopt
+        monkeypatch.setattr(parallel.ctypes, "CDLL", cdll)
+        assert parallel._keep_heap() is None
 
 
 def test_config_file_and_unknown_key(tmp_path, capsys):
