@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, preprocess, extract, train, evaluate, pipeline, render.
-Exit codes follow the error's class alone: 0 success, 1 AudioAnomError or
-OSError, 2 ConfigError or usage error. AUDIOANOM_CONFIG names a
+Exit codes follow the error's class alone: 0 success, 1 AudioAnomError,
+OSError or MemoryError, 2 ConfigError or usage error. AUDIOANOM_CONFIG names a
 default config file, --config replaces it, and flags override file values.
 """
 
@@ -202,6 +202,9 @@ def main(argv=None) -> int:
         return 2
     except (AudioAnomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # such as numpy refusing a huge array
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

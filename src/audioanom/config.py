@@ -24,6 +24,10 @@ NORMALIZE_MODES = ("peak", "rms")
 # |snr_db| bound: far beyond PCM16's 96 dB, and far inside the ~6150 dB at
 # which a clip's noise, its tone's RMS over 10**(dB/20), overflows
 SNR_DB_LIMIT = 1000.0
+# jitter_sigma_hz bound: far beyond the 110 Hz band the pitch walk reflects
+# in, and low enough that the walk of any clip that fits in memory stays
+# finite (at 1e308 its cumsum overflows and the clip turns to NaN)
+JITTER_SIGMA_HZ_LIMIT = 1e6
 
 
 @dataclass(frozen=True)   # a cache key of features._mel_bank
@@ -135,7 +139,9 @@ class PipelineConfig:
             (abs(self.snr_db) <= SNR_DB_LIMIT,
              f"snr_db must be within +-{SNR_DB_LIMIT:g} dB, so that the "
              "noise level of each class is a positive, finite float"),
-            (self.jitter_sigma_hz >= 0, "jitter_sigma_hz must be >= 0"),
+            (0 <= self.jitter_sigma_hz <= JITTER_SIGMA_HZ_LIMIT,
+             f"jitter_sigma_hz must be in [0, {JITTER_SIGMA_HZ_LIMIT:g}] Hz, "
+             "so that the pitch walk stays finite"),
         ]
         for ok, message in checks:
             if not ok:

@@ -196,7 +196,11 @@ def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
                      out=np.zeros_like(total), where=total != 0.0)
 
 
+@functools.lru_cache(maxsize=None)
 def feature_schema(n_coeffs: int) -> tuple:
+    """The 2 * n_coeffs + 4 feature names, in column order. Built once per
+    n_coeffs, so the vectors of a table share one tuple, and a pool chunk
+    pickles it once."""
     names = [f"MFCC_mean_{i}" for i in range(1, n_coeffs + 1)]
     names += [f"MFCC_std_{i}" for i in range(1, n_coeffs + 1)]
     names += ["ZCR_mean", "ZCR_std", "Centroid_mean", "Centroid_std"]
@@ -229,14 +233,20 @@ def extract_clip_features(
 
 # --- FeatureSet CSV serialization ---
 
-def featureset_to_csv(fs: FeatureSet) -> str:
-    """CSV with header clip_id,label,<features>; full float precision."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def _write_featureset(fs: FeatureSet, fh) -> None:
+    """Write fs to the text file fh as a CSV with header
+    clip_id,label,<features>; full float precision."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["clip_id", "label", *fs.names])
     for v in fs.vectors:
         writer.writerow([v.clip_id, v.label if v.label is not None else "",
                          *[repr(float(x)) for x in v.values]])
+
+
+def featureset_to_csv(fs: FeatureSet) -> str:
+    """_write_featureset's CSV as a string."""
+    out = io.StringIO()
+    _write_featureset(fs, out)
     return out.getvalue()
 
 
@@ -292,8 +302,9 @@ def _feature_value(x: str, clip_id: str, name: str, source: str) -> float:
 
 
 def save_featureset(fs: FeatureSet, path) -> None:
+    """Stream fs to path row by row, as featureset_to_csv gives it."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(featureset_to_csv(fs))
+        _write_featureset(fs, fh)
 
 
 def load_featureset(path) -> FeatureSet:

@@ -463,6 +463,17 @@ BAD_INPUT = {
         "--n-per-class", "3", "--snr-db=-6200"], 2, ["snr_db", "1000 dB"]),
     "snr_db_noise_overflows_both_synth": ("synth", None, [
         "--n-per-class", "3", "--snr-db=-6200"], 2, ["snr_db", "1000 dB"]),
+    # at 1e308 the pitch walk's cumsum overflows and the clip turns NaN
+    "jitter_overflows_walk": ("pipeline", None, [
+        "--n-per-class", "5", "--jitter-sigma-hz", "1e308"], 2,
+        ["jitter_sigma_hz", "[0, 1e+06] Hz"]),
+    "jitter_overflows_walk_synth": ("synth", None, [
+        "--n-per-class", "5", "--jitter-sigma-hz", "1e308"], 2,
+        ["jitter_sigma_hz", "[0, 1e+06] Hz"]),
+    # the mel bank asks numpy for 4 EiB, which it refuses at once
+    "n_fft_beyond_memory": ("pipeline", None, [
+        "--n-fft", str(2 ** 60)], 1, ["error: out of memory",
+                                      "Unable to allocate"]),
     "negative_seed": ("pipeline", None, ["--seed", "-1"], 2, ["seed"]),
     "clip_within_lead": ("pipeline", None, ["--clip-s", "0.1"], 2,
                          ["clip_s", "0.3 s noise-only lead"]),
@@ -626,6 +637,19 @@ def test_bad_input_exit_code_and_message(extracted, small_forest, tmp_path,
         assert fragment.replace("{file}", str(path)) in err
     assert not out.exists()
     assert set(os.listdir(tmp_path)) <= {"input"}   # nor anything beside it
+
+
+def test_preprocess_segment_beyond_memory_is_an_error_line(corpus, tmp_path,
+                                                           capsys):
+    # each segment would take 114 PiB; numpy refuses at once, touching no
+    # memory, and the CLI reports it as a runtime failure, not a traceback
+    out = tmp_path / "seg"
+    assert main(["preprocess", "--manifest", str(corpus / "manifest.csv"),
+                 "--out", str(out), "--seg-len-s", "1e12"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 114. PiB")
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command", ["preprocess", "extract", "train",
@@ -799,6 +823,40 @@ def test_pipeline_matches_stepwise_commands(tmp_path):
     assert segment_rows(out / "segments.csv", out / "segments") == \
         segment_rows(step / "segments" / "segments.csv", step / "segments")
     assert len(seg_wavs) == len(load_manifest(out / "segments.csv"))
+
+
+def test_feature_rows_share_names(tmp_path, monkeypatch):
+    # a pool chunk's vectors come back with one names tuple, not one each,
+    # and the serial extract_manifest shares one across its whole table
+    from multiprocessing.pool import Pool
+
+    from audioanom import pipeline
+
+    chunksizes, saved = [], []
+    imap, save = Pool.imap, pipeline.save_featureset
+
+    def recording_imap(self, func, iterable, chunksize=1):
+        chunksizes.append(chunksize)
+        return imap(self, func, iterable, chunksize)
+
+    def recording_save(fs, path):
+        saved.append(fs)
+        save(fs, path)
+
+    monkeypatch.setattr(Pool, "imap", recording_imap)
+    monkeypatch.setattr(pipeline, "save_featureset", recording_save)
+    cfg = PipelineConfig(n_per_class=10, n_trees=2, svm_epochs=1)
+    paths = pipeline.run_pipeline(cfg, tmp_path / "p")
+    features = saved[0]   # features.csv's table, saved before the split
+    n_clips = 2 * cfg.n_per_class
+    # the front end's map comes first; one CPU maps in-process, one chunk
+    n_chunks = -(-n_clips // chunksizes[0]) if chunksizes else 1
+    assert n_chunks < len(features.vectors) == 2 * n_clips
+    assert len({id(v.names) for v in features.vectors}) <= n_chunks
+
+    rows = load_manifest(paths["segment_manifest"])
+    extracted = pipeline.extract_manifest(rows, cfg)
+    assert len({id(v.names) for v in extracted.vectors}) == 1
 
 
 def test_pipeline_worker_error_reaches_cli(tmp_path, monkeypatch, capsys):

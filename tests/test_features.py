@@ -25,6 +25,7 @@ from audioanom.features import (
     mel_to_hz,
     mfcc,
     pre_emphasis,
+    save_featureset,
     spectral_centroid,
     zero_crossing_rate,
 )
@@ -351,6 +352,8 @@ def test_schema_is_30_named_features():
     assert "MFCC_mean_5" in names
     assert names[-4:] == ("ZCR_mean", "ZCR_std", "Centroid_mean",
                           "Centroid_std")
+    # cached, so every vector of a table shares one tuple
+    assert feature_schema(13) is names and len(feature_schema(4)) == 12
 
 
 def test_single_frame_clip_has_zero_stds():
@@ -426,7 +429,7 @@ def test_extraction_deterministic():
 
 # --- CSV round trip ---
 
-def test_featureset_csv_round_trip():
+def test_featureset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(28)
     names = feature_schema(13)
     vectors = []
@@ -437,6 +440,9 @@ def test_featureset_csv_round_trip():
     fs = FeatureSet(vectors, names, ("anomalous", "normal"))
     text = featureset_to_csv(fs)
     back = featureset_from_csv(text)
+    # save_featureset streams the same bytes to a file
+    save_featureset(fs, tmp_path / "fs.csv")
+    assert (tmp_path / "fs.csv").read_bytes() == text.encode("utf-8")
     assert back.names == names
     assert back.class_names == ("anomalous", "normal")
     for original, parsed in zip(fs.vectors, back.vectors):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from audioanom.audio_io import AudioBuffer, read_wav, write_wav
-from audioanom.config import SNR_DB_LIMIT, PipelineConfig
+from audioanom.config import (JITTER_SIGMA_HZ_LIMIT, SNR_DB_LIMIT,
+                              PipelineConfig)
 from audioanom.dsp import frame_signal
 from audioanom.errors import ConfigError
 from audioanom.features import zero_crossing_rate
@@ -67,6 +68,20 @@ def test_extreme_snr_renders_finite_nonzero_clips(tmp_path, snr_db):
             assert np.all(np.isfinite(samples)) and samples.any(), label
     with pytest.raises(ConfigError, match="snr_db"):
         PipelineConfig(snr_db=np.nextafter(snr_db, 2 * snr_db)).validate()
+
+
+def test_extreme_jitter_renders_finite_nonzero_clip(tmp_path):
+    # the pitch walk at the largest accepted step stays finite
+    cfg = PipelineConfig(jitter_sigma_hz=JITTER_SIGMA_HZ_LIMIT,
+                         n_per_class=1).validate()
+    _, label, buf = render_clip(cfg, 1)
+    assert label == "anomalous"
+    written = write_wav(buf, tmp_path / "anomalous.wav")
+    for samples in (buf.samples, written.samples):
+        assert np.all(np.isfinite(samples)) and samples.any()
+    with pytest.raises(ConfigError, match="jitter_sigma_hz"):
+        PipelineConfig(jitter_sigma_hz=np.nextafter(
+            JITTER_SIGMA_HZ_LIMIT, np.inf)).validate()
 
 
 def _frame_zcr_variance(buf, skip_s=0.3):
