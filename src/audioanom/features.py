@@ -61,6 +61,13 @@ class FeatureSet:
                     f"{list(self.class_names)}")
         return np.array([index[v.label] for v in self.vectors], dtype=np.intp)
 
+    @classmethod
+    def of(cls, vectors: list, names: tuple) -> "FeatureSet":
+        """The table of `vectors` under `names`, its class names the sorted
+        distinct labels of its labeled rows."""
+        labels = {v.label for v in vectors} - {None}
+        return cls(vectors, names, tuple(sorted(labels)))
+
     def subset(self, indices) -> "FeatureSet":
         return FeatureSet([self.vectors[i] for i in indices],
                           self.names, self.class_names)
@@ -289,8 +296,7 @@ def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
     vectors = [FeatureVector(names, x, clip_id=row[0], label=row[1] or None)
                for row, x in zip(rows, X)]
     require_finite(X, vectors)
-    labels = {v.label for v in vectors} - {None}
-    return FeatureSet(vectors, names, tuple(sorted(labels)))
+    return FeatureSet.of(vectors, names)
 
 
 def _feature_value(x: str, clip_id: str, name: str, source: str) -> float:

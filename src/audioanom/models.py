@@ -25,6 +25,7 @@ from .errors import (
     EmptyClass,
     EmptyDataset,
     MalformedModel,
+    NonFiniteFeature,
     NotBinary,
     SchemaMismatch,
 )
@@ -34,22 +35,15 @@ from .parallel import pool_map
 MODEL_FORMAT_VERSION = 1
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float((p * p).sum())
-
-
 def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int,
                 min_leaf: int, parent_gini: float):
     """Best (column, threshold, gain) over the columns of X, or None.
 
-    Thresholds are midpoints of consecutive distinct sorted values. Each
-    column takes its lowest-child-gini threshold, the lowest one on ties;
-    the column of highest gain wins, the lowest one on ties, if that gain
-    exceeds 1e-15.
+    A threshold lies between consecutive distinct sorted values lo < hi:
+    their midpoint, or lo where the midpoint rounds up to hi, so that both
+    children keep their rows. Each column takes its lowest-child-gini
+    threshold, the lowest one on ties; the column of highest gain wins, the
+    lowest one on ties, if that gain exceeds 1e-15.
     """
     n = len(y)
     order = np.argsort(X, axis=0, kind="stable")
@@ -72,8 +66,11 @@ def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int,
     best = int(np.argmax(gains))
     if not gains[best] > 1e-15:
         return None
-    i = rows[best]
-    threshold = 0.5 * (xs[i, best] + xs[i + 1, best])
+    lo, hi = xs[rows[best], best], xs[rows[best] + 1, best]
+    # halves first: lo + hi can overflow where their midpoint does not
+    threshold = 0.5 * lo + 0.5 * hi
+    if not threshold < hi:
+        threshold = lo
     return best, float(threshold), float(gains[best])
 
 
@@ -83,29 +80,34 @@ _SPLIT_KEYS = frozenset({"feature", "threshold", "left", "right"})
 _split_fields = operator.itemgetter("feature", "threshold", "left", "right")
 
 
-class _NodeArrays:
-    """The v1 nodes of one or more trees, checked and laid end to end as flat
-    arrays, and the kernel that routes rows down every tree at once.
+class RandomForest:
+    """Trees held as their model-JSON v1 documents {"nodes", "n_classes",
+    "max_depth", "min_samples_leaf"}, voting by their mean probability.
 
-    A split node k holds feature[k] and threshold[k], and leaf[k] = -1; a row
-    moves on to node child[2k + (x <= threshold[k])], its right child at
-    even and its left child at odd entries. A leaf holds the row leaf[k] of
-    proba. roots[t] is the id of tree t's root.
+    The constructor checks every tree's nodes and lays them end to end as
+    flat arrays. A split node k holds feature[k] and threshold[k], and
+    leaf[k] = -1; a row moves on to node child[2k + (x <= threshold[k])],
+    its right child at even and its left child at odd entries. A leaf holds
+    the row leaf[k] of proba. roots[t] is the id of tree t's root.
     """
 
-    def __init__(self, trees: list, n_classes: int, n_features: int):
-        """`trees` holds each tree's node list. MalformedModel names the tree
-        and node of a node that is neither a leaf of n_classes probabilities
-        summing to 1 nor a split on a feature in [0, n_features) at a finite
-        threshold whose children have higher ids in its tree; the latter
-        makes every route end at a leaf."""
-        if not trees:
-            raise MalformedModel("forest has no trees")
+    def __init__(self, trees: list, feature_names: tuple, class_names: tuple,
+                 mtry: int, seed: int, importances: np.ndarray):
+        """MalformedModel names the tree and node of a node that is neither
+        a leaf of len(class_names) probabilities summing to 1 nor a split on
+        a feature in [0, len(feature_names)) at a finite threshold whose
+        children have higher ids in its tree; the latter makes every route
+        end at a leaf. `_SCHEMA` states that there are trees and nodes."""
+        self.trees = trees
+        self.feature_names = tuple(feature_names)
+        self.class_names = tuple(class_names)
+        self.mtry = mtry
+        self.seed = seed
+        self.importances = np.asarray(importances, dtype=float)
+        n_classes, n_features = len(self.class_names), len(self.feature_names)
         splits, split_at, proba, leaf_at, roots = [], [], [], [], []
         k = 0  # id of the current tree's root
-        for t, nodes in enumerate(trees):
-            if not isinstance(nodes, list) or not nodes:
-                raise MalformedModel(f"tree {t} has no nodes")
+        for t, nodes in enumerate(tree["nodes"] for tree in trees):
             roots.append(k)
             for i, node in enumerate(nodes):
                 if type(node) is not dict:
@@ -152,7 +154,7 @@ class _NodeArrays:
             t = int(np.searchsorted(self.roots, bad, side="right")) - 1
             i = bad - roots[t]
             raise MalformedModel(f"tree {t} node {i} has proba "
-                                 f"{trees[t][i]['proba']!r}, not "
+                                 f"{trees[t]['nodes'][i]['proba']!r}, not "
                                  f"probabilities summing to 1")
 
         self.leaf = np.full(k, -1, dtype=np.intp)
@@ -194,6 +196,18 @@ class _NodeArrays:
         return (P.reshape(n_trees, n, self.proba.shape[1]).sum(axis=0)
                 / n_trees)
 
+    def to_dict(self) -> dict:
+        return {
+            "format_version": MODEL_FORMAT_VERSION,
+            "kind": "random_forest",
+            "feature_names": list(self.feature_names),
+            "class_names": list(self.class_names),
+            "mtry": self.mtry,
+            "seed": self.seed,
+            "importances": self.importances.tolist(),
+            "trees": [dict(t) for t in self.trees],
+        }
+
 
 def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
                 max_depth: Optional[int], min_samples_leaf: int,
@@ -214,7 +228,9 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
         node_id = len(nodes)
         nodes.append(None)  # reserve slot so children get higher ids
 
-        parent_gini = _gini(counts)
+        # a split leaves rows on both sides, so no node is empty
+        p = counts / counts.sum()
+        parent_gini = 1.0 - float((p * p).sum())
         can_split = (parent_gini > 0.0
                      and (max_depth is None or depth < max_depth)
                      and len(idx) >= 2 * min_samples_leaf)
@@ -226,8 +242,7 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
                                min_samples_leaf, parent_gini)
 
         if best is None:
-            proba = counts / counts.sum()
-            nodes[node_id] = {"proba": proba.tolist()}
+            nodes[node_id] = {"proba": p.tolist()}
             return node_id
 
         column, threshold, gain = best
@@ -254,39 +269,6 @@ def _training_arrays(data: FeatureSet) -> tuple:
 def _normalized(importances: np.ndarray) -> np.ndarray:
     s = importances.sum()
     return importances / s if s > 0 else importances
-
-
-class RandomForest:
-    """Trees held as their model-JSON v1 documents {"nodes", "n_classes",
-    "max_depth", "min_samples_leaf"}, voting by their mean probability."""
-
-    def __init__(self, trees: list, feature_names: tuple, class_names: tuple,
-                 mtry: int, seed: int, importances: np.ndarray):
-        self.trees = trees
-        self.feature_names = tuple(feature_names)
-        self.class_names = tuple(class_names)
-        self.mtry = mtry
-        self.seed = seed
-        self.importances = np.asarray(importances, dtype=float)
-        self._nodes = _NodeArrays([t["nodes"] for t in trees],
-                                  len(self.class_names),
-                                  len(self.feature_names))
-
-    def predict_proba_values(self, X: np.ndarray) -> np.ndarray:
-        """Mean of the trees' (n, n_classes) matrices, summed in tree order."""
-        return self._nodes.predict_proba_values(X)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "random_forest",
-            "feature_names": list(self.feature_names),
-            "class_names": list(self.class_names),
-            "mtry": self.mtry,
-            "seed": self.seed,
-            "importances": self.importances.tolist(),
-            "trees": [dict(t) for t in self.trees],
-        }
 
 
 def train_tree(data: FeatureSet, max_depth: Optional[int] = None,
@@ -402,7 +384,8 @@ def train_svm(data: FeatureSet, lam: float, epochs: int,
     """Stochastic subgradient descent on the hinge objective, step 1/(lam t).
 
     Binary only; labels map to -1/+1 by class order. Features are
-    standardized by train-set mean/std (zero-variance features get std 1).
+    standardized by train-set mean/std (zero-variance features get std 1);
+    NonFiniteFeature names a column whose mean or std overflows.
     """
     X, y = _training_arrays(data)
     if len(data.class_names) != 2:
@@ -412,8 +395,13 @@ def train_svm(data: FeatureSet, lam: float, epochs: int,
         if not np.any(y == c):
             raise EmptyClass(f"class {data.class_names[c]!r} has no instances")
 
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    # a mean that overflows leaves its column's std inf or NaN too
+    if not np.isfinite(std).all():
+        j = int(np.argmin(np.isfinite(std)))
+        raise NonFiniteFeature(f"column {data.names[j]!r} has mean {mean[j]} "
+                               f"and std {std[j]}, not both finite")
     std[std == 0.0] = 1.0
     Z = (X - mean) / std
     y_pm = np.where(y == 1, 1.0, -1.0)
@@ -522,10 +510,12 @@ _SCHEMA = {
         "seed": _int_from(0),
         "importances": (lambda v, f, c: _numbers(v, f) and min(v, default=0)
                         >= 0, "a list of {n} finite numbers >= 0"),
-        "trees": (lambda v, *_: type(v) is list, "a list", "tree"),
+        "trees": (lambda v, *_: type(v) is list and v != [],
+                  "a list of one or more trees", "tree"),
     },
     "tree": {
-        "nodes": (lambda v, *_: type(v) is list, "a list"),
+        "nodes": (lambda v, *_: type(v) is list and v != [],
+                  "a list of one or more nodes"),
         "n_classes": (lambda v, f, c: type(v) is int and v == len(c), "{k}"),
         "max_depth": (lambda v, *_: v is None or type(v) is int and v >= 1,
                       "null or an integer >= 1"),
@@ -580,7 +570,7 @@ def _check_document(d, kind: str, what: str, f=(), c=()) -> None:
 def model_from_dict(d: dict):
     """The model of a v1 random_forest, linear_svm or ensemble document,
     built from it once `_SCHEMA` accepts it; MalformedModel also names a
-    node `_NodeArrays` rejects and weights without a positive, finite sum."""
+    node `RandomForest` rejects and weights without a positive, finite sum."""
     kind = d.get("kind") if type(d) is dict else None
     if kind not in ("random_forest", "linear_svm", "ensemble"):
         raise MalformedModel(f"unknown model kind {kind!r}")

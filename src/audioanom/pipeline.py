@@ -70,12 +70,14 @@ def _write_segments(clip_id, label, segments, out_dir) -> tuple:
 
 def preprocess_manifest(rows, cfg: PipelineConfig, out_dir) -> list:
     """Process every manifest clip; returns segment manifest rows sorted by
-    (clip_id, segment index)."""
-    os.makedirs(out_dir, exist_ok=True)
+    (clip_id, segment index). out_dir is made once the first clip's
+    segments exist, so a run whose first clip fails leaves nothing."""
     seg_rows = []
     for clip_id, path, label in sorted(rows, key=lambda r: r[0]):
         segments = preprocess_clip(read_wav(path), cfg)
+        os.makedirs(out_dir, exist_ok=True)
         seg_rows += _write_segments(clip_id, label, segments, out_dir)[0]
+    os.makedirs(out_dir, exist_ok=True)   # for an empty manifest
     return seg_rows
 
 
@@ -91,9 +93,7 @@ def _segment_features(buf: AudioBuffer, cfg: PipelineConfig, seg_id,
 
 
 def _featureset(vectors) -> FeatureSet:
-    names = vectors[0].names if vectors else ()
-    return FeatureSet(vectors, names,
-                      tuple(sorted({v.label for v in vectors})))
+    return FeatureSet.of(vectors, vectors[0].names if vectors else ())
 
 
 def extract_manifest(rows, cfg: PipelineConfig) -> FeatureSet:

@@ -168,6 +168,21 @@ def test_train_and_evaluate(extracted, tmp_path):
     assert len(report["importance_top10"]) == 10
 
 
+def test_train_splits_adjacent_doubles(tmp_path):
+    # the midpoint of two adjacent doubles rounds up to the upper one; a
+    # threshold there sent both rows left, and the node split them again
+    table = tmp_path / "adjacent.csv"
+    table.write_text("clip_id,label,x\na0,normal,1.0000000000000002\n"
+                     "b0,anomalous,1.0000000000000004\n")
+    models = tmp_path / "models"
+    assert main(["train", "--features", str(table),
+                 "--out", str(models)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--model", str(models / "model_forest.json"),
+                 "--test", str(table), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["accuracy"] == "1.0000"
+
+
 _CLI = ("import sys; from audioanom.cli import main; "
         "sys.exit(main(sys.argv[1:]))")
 
@@ -360,14 +375,17 @@ def _in_ensemble_member_1(mutate):
      ["tree 1 node 2", "[0.5, 0.25, 0.25], not 2 values"]),
     (_tree_1(SPLIT, LEAF_A, {"proba": [0.5, 0.4]}),
      ["tree 1 node 2", "[0.5, 0.4], not probabilities summing to 1"]),
+    (lambda forest: {**forest, "trees": []}, ["no trees"]),
+    (_tree_1(), ["tree 1", "no nodes"]),
     (_ensemble(), ["no members"]),
     (_ensemble(0.0, 0.0), ["weights [0.0, 0.0]"]),
     (_ensemble(1e308, 1e308), ["weights [1e+308, 1e+308]", "finite sum"]),
     (_in_ensemble_member_1(_tree_1({**SPLIT, "left": 0}, LEAF_A, LEAF_B)),
      ["ensemble member 1: tree 1 node 0", "children 0 and 2"]),
 ], ids=["node_keys", "feature_range", "left_cycle", "right_cycle",
-        "child_range", "leaf_length", "leaf_sum", "no_members",
-        "zero_weights", "infinite_weight_sum", "ensemble_member"])
+        "child_range", "leaf_length", "leaf_sum", "no_trees", "no_nodes",
+        "no_members", "zero_weights", "infinite_weight_sum",
+        "ensemble_member"])
 def test_evaluate_malformed_model_structure_names_file(
         extracted, small_forest, tmp_path, capsys, mutate, named):
     _, features = extracted
@@ -397,12 +415,18 @@ def _model(kind, mutate):
     return content
 
 
-def _pcm16_wav(n):
-    """The bytes of a mono PCM16 WAV at SR holding n samples."""
-    payload = struct.pack(f"<{n}h", *range(n))
-    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SR, 2 * SR, 2, 16)
+def _wav(payload, audio_format=1, channels=1, bits=16):
+    """The bytes of a WAV at SR whose data chunk is `payload`."""
+    block = channels * bits // 8
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, audio_format, channels, SR,
+                                block * SR, block, bits)
     body = b"WAVE" + fmt + b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _pcm16_wav(n):
+    """The bytes of a mono PCM16 WAV at SR holding n samples."""
+    return _wav(struct.pack(f"<{n}h", *range(n)))
 
 
 def _manifest(*rows):
@@ -507,6 +531,30 @@ BAD_INPUT = {
     "clip_shorter_than_frame_spectrogram": (
         "render", _pcm16_wav(100), ["--kind", "spectrogram"], 1,
         ["{file}", "need at least 400 samples", "got 100"]),
+    "wav_3_channels": ("render", _wav(
+        struct.pack("<1200h", *range(1200)), channels=3), [
+        "--kind", "waveform"], 1, ["{file}", "3 channels"]),
+    "wav_format_extensible": ("render", _wav(
+        struct.pack("<400h", *range(400)), audio_format=0xFFFE), [
+        "--kind", "waveform"], 1, ["{file}", "WAVE_FORMAT_EXTENSIBLE"]),
+    "wav_float32_nan": ("render", _wav(
+        struct.pack("<4f", 0.0, float("nan"), 0.5, -0.5), audio_format=3,
+        bits=32), ["--kind", "waveform"], 1, ["{file}", "non-finite"]),
+    "config_not_object": ("pipeline", [1, 2], [], 2,
+                          ["{file}", "config must be a JSON object"]),
+    # the SVM's scaler overflows: std at 1e200, mean and std at 1e308,
+    # where the forest's split midpoint overflowed as well
+    "svm_std_overflows": ("train",
+                          "clip_id,label,x\na0,normal,1e200\n"
+                          "b0,anomalous,1.5e200\n", [], 1,
+                          ["column 'x'", "std inf", "finite"]),
+    "svm_mean_overflows": ("train",
+                           "clip_id,label,x\na0,normal,1e308\n"
+                           "b0,anomalous,1.5e308\n", [], 1,
+                           ["column 'x'", "mean inf", "finite"]),
+    "preprocess_missing_wav": ("preprocess", _manifest(
+        "c0,{dir}/missing.wav,normal"), [], 1, ["cannot read",
+                                                "missing.wav"]),
     "manifest_long_path": ("extract",
                            f"clip_id,path,label\nc0,{LONG}.wav,normal\n", [],
                            1, ["{file}", "line 2", "field limit"]),
@@ -649,7 +697,17 @@ def test_preprocess_segment_beyond_memory_is_an_error_line(corpus, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate 114. PiB")
     assert "Traceback" not in err
-    assert os.listdir(out) == []
+    assert not out.exists()
+
+
+def test_preprocess_empty_manifest_writes_header_only(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("clip_id,path,label\n")
+    out = tmp_path / "seg"
+    assert main(["preprocess", "--manifest", str(manifest),
+                 "--out", str(out)]) == 0
+    assert os.listdir(out) == ["segments.csv"]
+    assert (out / "segments.csv").read_text() == "clip_id,path,label\n"
 
 
 @pytest.mark.parametrize("command", ["preprocess", "extract", "train",

@@ -125,6 +125,19 @@ def test_tree_equal_gini_thresholds_pick_lower():
     assert tree.trees[0]["nodes"][0]["threshold"] == 0.5
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (1.0000000000000002, 1.0000000000000004),   # the midpoint rounds to hi
+    (1e308, 1.5e308),                           # lo + hi overflows
+], ids=["adjacent_doubles", "sum_overflows"])
+def test_split_threshold_lies_below_upper_value(lo, hi):
+    # a threshold at hi sent both rows left, and the node split them again
+    data = make_set([[lo], [hi]], ["A", "B"])
+    assert lo <= train_tree(data).trees[0]["nodes"][0]["threshold"] < hi
+    forest = train_forest(data, n_trees=100)
+    predicted = np.argmax(forest.predict_proba_values(data.matrix()), axis=1)
+    np.testing.assert_array_equal(predicted, data.labels())
+
+
 def _leaf_of(nodes, X):
     """Index of the leaf each row of X reaches, walked one row at a time."""
     out = []
