@@ -1,4 +1,5 @@
-"""The process pool of the per-clip front end and of the forest's trees."""
+"""The process pool of the pipeline's per-clip front end, of the stepwise
+synth, preprocess and extract stages, and of the forest's trees."""
 
 import ctypes
 import multiprocessing

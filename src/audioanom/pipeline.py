@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import shutil
 
 from .audio_io import AudioBuffer, read_wav, resample_linear, write_wav
 from .config import PipelineConfig
@@ -68,17 +69,38 @@ def _write_segments(clip_id, label, segments, out_dir) -> tuple:
     return seg_rows, written
 
 
+def _preprocess_row(cfg: PipelineConfig, out_dir, row) -> list:
+    """Write one manifest clip's segment WAVs into out_dir; returns their
+    manifest rows."""
+    clip_id, path, label = row
+    segments = preprocess_clip(read_wav(path), cfg)
+    return _write_segments(clip_id, label, segments, out_dir)[0]
+
+
+def _first_missing(path):
+    """The outermost directory that os.makedirs(path) would create, or None
+    when path exists."""
+    path, missing = os.path.abspath(path), None
+    while not os.path.lexists(path):
+        path, missing = os.path.dirname(path), path
+    return missing
+
+
 def preprocess_manifest(rows, cfg: PipelineConfig, out_dir) -> list:
-    """Process every manifest clip; returns segment manifest rows sorted by
-    (clip_id, segment index). out_dir is made once the first clip's
-    segments exist, so a run whose first clip fails leaves nothing."""
-    seg_rows = []
-    for clip_id, path, label in sorted(rows, key=lambda r: r[0]):
-        segments = preprocess_clip(read_wav(path), cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        seg_rows += _write_segments(clip_id, label, segments, out_dir)[0]
-    os.makedirs(out_dir, exist_ok=True)   # for an empty manifest
-    return seg_rows
+    """Process every manifest clip, one clip per pool_map task; returns the
+    segment manifest rows sorted by (clip_id, segment index). A failure is
+    the lowest failing clip's in clip_id order. A run that fails removes the
+    directories it made for out_dir, and never one that was there before."""
+    made = _first_missing(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        clips = pool_map(functools.partial(_preprocess_row, cfg, out_dir),
+                         sorted(rows, key=lambda r: r[0]))
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+    return [seg_row for clip_seg_rows in clips for seg_row in clip_seg_rows]
 
 
 def write_segment_manifest(seg_rows, path) -> None:
@@ -96,17 +118,25 @@ def _featureset(vectors) -> FeatureSet:
     return FeatureSet.of(vectors, vectors[0].names if vectors else ())
 
 
-def extract_manifest(rows, cfg: PipelineConfig) -> FeatureSet:
-    """Feature vectors for every (segment) manifest row; SignalTooShort
+def _row_values(cfg: PipelineConfig, row):
+    """The feature values of one (segment) manifest row; SignalTooShort
     names the clip and file of a segment shorter than one frame."""
-    vectors = []
-    for seg_id, path, label in rows:
-        try:
-            vectors.append(_segment_features(read_wav(path), cfg, seg_id,
-                                             label))
-        except SignalTooShort as exc:
-            raise SignalTooShort(f"clip {seg_id!r} ({path}): {exc}") from exc
-    return _featureset(vectors)
+    seg_id, path, label = row
+    try:
+        return _segment_features(read_wav(path), cfg, seg_id, label).values
+    except SignalTooShort as exc:
+        raise SignalTooShort(f"clip {seg_id!r} ({path}): {exc}") from exc
+
+
+def extract_manifest(rows, cfg: PipelineConfig) -> FeatureSet:
+    """Feature vectors for every (segment) manifest row, in row order, one
+    row per pool_map task; a failure is the lowest failing row's. The
+    vectors are built here, so the whole table shares one names tuple."""
+    rows = list(rows)
+    names = feature_schema(cfg.n_coeffs)
+    values = pool_map(functools.partial(_row_values, cfg), rows)
+    return _featureset([FeatureVector(names, v, seg_id, label)
+                        for v, (seg_id, _, label) in zip(values, rows)])
 
 
 def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:

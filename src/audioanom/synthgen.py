@@ -14,6 +14,7 @@ subset of the corpus regenerates identically.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 
@@ -22,6 +23,7 @@ import numpy as np
 from .audio_io import AudioBuffer, write_wav
 from .config import LEAD_SILENCE_S, PipelineConfig
 from .errors import MalformedManifest
+from .parallel import pool_map
 
 
 F0_MIN_HZ = 110.0
@@ -96,20 +98,24 @@ def render_clip(cfg: PipelineConfig, i: int) -> tuple:
     return f"clip_{i:04d}_{label}", label, buf
 
 
+def _write_clip(cfg: PipelineConfig, out_dir, i) -> tuple:
+    """Write clip i's WAV into out_dir; returns its manifest row."""
+    clip_id, label, buf = render_clip(cfg, i)
+    path = os.path.join(out_dir, clip_id + ".wav")
+    write_wav(buf, path)
+    return clip_id, path, label
+
+
 def generate_corpus(cfg: PipelineConfig, out_dir) -> list:
-    """Write 2 * n_per_class WAVs plus manifest.csv; returns the manifest
-    rows as (clip_id, path, label). ConfigError names an invalid setting."""
+    """Write 2 * n_per_class WAVs, one clip per pool_map task, plus
+    manifest.csv; returns the manifest rows as (clip_id, path, label) in
+    clip order. ConfigError names an invalid setting; a failure is the
+    lowest failing clip's."""
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for i in range(2 * cfg.n_per_class):
-        clip_id, label, buf = render_clip(cfg, i)
-        path = os.path.join(out_dir, clip_id + ".wav")
-        write_wav(buf, path)
-        rows.append((clip_id, path, label))
-
-    manifest = os.path.join(out_dir, "manifest.csv")
-    write_manifest(rows, manifest)
+    rows = pool_map(functools.partial(_write_clip, cfg, out_dir),
+                    range(2 * cfg.n_per_class))
+    write_manifest(rows, os.path.join(out_dir, "manifest.csv"))
     return rows
 
 

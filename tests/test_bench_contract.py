@@ -22,7 +22,7 @@ sys.path.insert(0, BENCH)
 import bench_setup  # noqa: E402
 from bench_trace import PER_LAYER, Tracer  # noqa: E402
 
-from audioanom import evaluate, models  # noqa: E402
+from audioanom import evaluate, models, parallel  # noqa: E402
 from audioanom import pipeline as pl  # noqa: E402
 from audioanom.config import PipelineConfig  # noqa: E402
 
@@ -41,8 +41,13 @@ def traced(tmp_path_factory):
     tracer = Tracer()
     tracer.install()
     try:
-        features = bench_setup.extract_corpus(pl, N_PER_CLASS, cfg.seed, cfg,
-                                              str(out))
+        # the stepwise stages map their clips and rows with pool_map, and a
+        # fork worker's spans never reach this tracer: on one CPU they run
+        # in-process, where it counts them
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+            features = bench_setup.extract_corpus(pl, N_PER_CLASS, cfg.seed,
+                                                  cfg, str(out))
         # the call the benchmark's cross-validation check makes
         one_tree = models.train_forest(features, n_trees=1, seed=cfg.seed)
         trained = pl.train_models(features, cfg)

@@ -187,28 +187,56 @@ _CLI = ("import sys; from audioanom.cli import main; "
         "sys.exit(main(sys.argv[1:]))")
 
 
+def _cli_child(argv, one_cpu) -> None:
+    """Run the CLI on argv in a child process, pinned to one of this
+    process's CPUs when one_cpu, so pool_map runs its tasks in-process."""
+    import audioanom
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(audioanom.__file__))}
+    cpu = {min(os.sched_getaffinity(0))}
+    subprocess.run([sys.executable, "-c", _CLI, *map(str, argv)], check=True,
+                   env=env, timeout=120,
+                   preexec_fn=(lambda: os.sched_setaffinity(0, cpu))
+                   if one_cpu else None)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="pins a child process to one CPU")
 def test_train_writes_the_same_models_on_one_cpu(extracted, tmp_path):
     # on one CPU the forest's trees grow in-process, otherwise on the pool
-    import audioanom
     _, features = extracted
-    env = {**os.environ,
-           "PYTHONPATH": os.path.dirname(os.path.dirname(audioanom.__file__))}
-    one_cpu = {min(os.sched_getaffinity(0))}
-
-    def pin():
-        os.sched_setaffinity(0, one_cpu)
-
-    for out, preexec_fn in ((tmp_path / "one", pin), (tmp_path / "all", None)):
-        subprocess.run([sys.executable, "-c", _CLI, "train", "--features",
-                        str(features), "--out", str(out), "--n-trees", "12",
-                        "--svm-epochs", "2"], check=True, env=env,
-                       preexec_fn=preexec_fn, timeout=120)
+    for out, one_cpu in ((tmp_path / "one", True), (tmp_path / "all", False)):
+        _cli_child(["train", "--features", features, "--out", out,
+                    "--n-trees", "12", "--svm-epochs", "2"], one_cpu)
     for name in ("forest", "svm", "ensemble"):
         model = f"model_{name}.json"
         assert (tmp_path / "one" / model).read_bytes() == \
             (tmp_path / "all" / model).read_bytes(), model
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pins a child process to one CPU")
+def test_stepwise_stages_write_the_same_files_on_one_cpu(tmp_path):
+    # on one CPU synth, preprocess and extract run in-process, otherwise
+    # their clips and rows are mapped on the pool
+    def files(root):
+        return sorted(os.path.relpath(os.path.join(d, name), root)
+                      for d, _, names in os.walk(root) for name in names)
+
+    for root, one_cpu in ((tmp_path / "one", True), (tmp_path / "all", False)):
+        _cli_child(["synth", "--out", root / "corpus", "--n-per-class", "3",
+                    "--seed", "5"], one_cpu)
+        _cli_child(["preprocess", "--manifest", root / "corpus" /
+                    "manifest.csv", "--out", root / "segments"], one_cpu)
+        _cli_child(["extract", "--manifest", root / "segments" /
+                    "segments.csv", "--out", root / "features.csv"], one_cpu)
+    names = files(tmp_path / "one")
+    # 6 clips and their manifest, 12 segments and theirs, one feature table
+    assert len(names) == 7 + 13 + 1
+    assert files(tmp_path / "all") == names
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "all" / name).read_bytes(), name
 
 
 def test_evaluate_schema_mismatch(extracted, tmp_path, capsys):
@@ -710,6 +738,108 @@ def test_preprocess_empty_manifest_writes_header_only(tmp_path):
     assert (out / "segments.csv").read_text() == "clip_id,path,label\n"
 
 
+def _noise_wav(path, seconds):
+    rng = np.random.default_rng(0)
+    write_wav(AudioBuffer(rng.uniform(-0.5, 0.5, int(seconds * SR)), SR), path)
+    return path
+
+
+def _good_then_missing(tmp_path):
+    """A manifest of a good 2 s clip c0, then c1, whose WAV is missing."""
+    clip = _noise_wav(tmp_path / "c0.wav", 2.0)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"clip_id,path,label\nc0,{clip},normal\n"
+                        f"c1,{tmp_path / 'missing.wav'},normal\n")
+    return manifest
+
+
+@pytest.mark.parametrize("out_name", ["seg", "new/seg"])
+def test_preprocess_later_clip_failure_leaves_no_out(tmp_path, capsys,
+                                                     out_name):
+    # c0's segments may be written before c1 fails; the run removes the
+    # directories it made, so no half-written --out is left to read
+    manifest = _good_then_missing(tmp_path)
+    assert main(["preprocess", "--manifest", str(manifest),
+                 "--out", str(tmp_path / out_name)]) == 1
+    assert "missing.wav" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c0.wav", "manifest.csv"]
+
+
+def test_preprocess_failure_keeps_an_existing_out(tmp_path):
+    manifest = _good_then_missing(tmp_path)
+    out = tmp_path / "seg"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    assert main(["preprocess", "--manifest", str(manifest),
+                 "--out", str(out)]) == 1
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
+def _two_workers_slow_on(monkeypatch, slow_path):
+    """pool_map maps on two workers, and pipeline's read_wav of slow_path
+    takes a second, so the other worker meets a later failure first."""
+    from audioanom import parallel, pipeline
+
+    read_wav = pipeline.read_wav
+
+    def slow_read(path):
+        if str(path) == str(slow_path):
+            time.sleep(1)
+        return read_wav(path)
+
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(pipeline, "read_wav", slow_read)
+
+
+def test_preprocess_names_the_first_missing_clip_on_two_workers(
+        tmp_path, monkeypatch, capsys):
+    # clips run in clip_id order, whatever the manifest's order: c2's error
+    # is reported although c5's worker meets its own first
+    clip = _noise_wav(tmp_path / "clip.wav", 2.0)
+    paths = {i: tmp_path / (f"c{i}_missing.wav" if i in (2, 5) else
+                            "clip.wav") for i in range(8)}
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("clip_id,path,label\n" + "".join(
+        f"c{i},{paths[i]},normal\n" for i in reversed(range(8))))
+    _two_workers_slow_on(monkeypatch, paths[2])
+    out = tmp_path / "seg"
+    with _deadline(60):
+        code = main(["preprocess", "--manifest", str(manifest),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"cannot read {paths[2]}" in err
+    assert "c5_missing" not in err
+    assert multiprocessing.active_children() == []
+    assert not out.exists() and clip.exists()
+
+
+def test_extract_names_the_first_short_segment_on_two_workers(
+        tmp_path, monkeypatch, capsys):
+    # rows run in manifest order: s3's SignalTooShort is reported although
+    # s6's worker meets its own first
+    _noise_wav(tmp_path / "long.wav", 1.0)
+    for i in (3, 6):
+        (tmp_path / f"s{i}.wav").write_bytes(_pcm16_wav(100))
+    paths = {i: tmp_path / (f"s{i}.wav" if i in (3, 6) else "long.wav")
+             for i in range(8)}
+    manifest = tmp_path / "segments.csv"
+    manifest.write_text("clip_id,path,label\n" + "".join(
+        f"s{i},{paths[i]},normal\n" for i in range(8)))
+    _two_workers_slow_on(monkeypatch, paths[3])
+    out = tmp_path / "features.csv"
+    with _deadline(60):
+        code = main(["extract", "--manifest", str(manifest),
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"clip 's3' ({paths[3]}): need at least 400 samples, got 100" \
+        in err
+    assert "s6" not in err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["preprocess", "extract", "train",
                                      "render"])
 def test_split_row_settings_bind_only_pipeline(extracted, tmp_path, command):
@@ -825,8 +955,8 @@ def test_pipeline_deterministic(tmp_path):
 
 
 def test_pipeline_matches_stepwise_commands(tmp_path):
-    # the pipeline's pooled front end writes every artifact byte for byte as
-    # the serial, file-based subcommands do
+    # the pipeline's fused front end writes every artifact byte for byte as
+    # the file-based subcommands do, whose stages pool their own tasks
     from audioanom.evaluate import stratified_split
     from audioanom.features import load_featureset, save_featureset
 
@@ -885,7 +1015,8 @@ def test_pipeline_matches_stepwise_commands(tmp_path):
 
 def test_feature_rows_share_names(tmp_path, monkeypatch):
     # a pool chunk's vectors come back with one names tuple, not one each,
-    # and the serial extract_manifest shares one across its whole table
+    # and extract_manifest, which builds its vectors from the values its
+    # workers return, shares one across its whole table
     from multiprocessing.pool import Pool
 
     from audioanom import pipeline
