@@ -3,7 +3,8 @@
 Subcommands: synth, preprocess, extract, train, evaluate, pipeline, render.
 Exit codes follow the error's class alone: 0 success, 1 AudioAnomError,
 OSError or MemoryError, 2 ConfigError or usage error. AUDIOANOM_CONFIG names a
-default config file, --config replaces it, and flags override file values.
+default config file, --config replaces it, and flags override file values. A
+command has a flag for each config field its stages read, and no others.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
     test = load_featureset(args.test)
-    report = pl.evaluate_model(model, test, cfg)
+    echo = {name: getattr(cfg, name) for name in CONFIG_READS["evaluate"]}
+    report = pl.evaluate_model(model, test, echo)
     emit_report(report, args.out)
     print(f"accuracy {report.accuracy:.4f} -> {args.out}")
     return 0
@@ -133,17 +135,6 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON config file "
-                        f"(default: ${CONFIG_ENV})")
-    group = parser.add_argument_group("config overrides")
-    for name, (kind, _) in FIELD_TYPES.items():
-        if name != "version":
-            group.add_argument(f"--{name.replace('_', '-')}",
-                               dest=f"cfg_{name}", type=kind, default=None,
-                               metavar="V")
-
-
 # command -> (function, help line, its own flags); each own flag is required
 COMMANDS = {
     "synth": (cmd_synth, "generate the synthetic corpus", ("--out",)),
@@ -160,11 +151,28 @@ COMMANDS = {
                ("--clip", "--kind", "--out")),
 }
 RENDER_KINDS = ("waveform", "spectrogram", "spectrum")
+# command -> the PipelineConfig fields its stages read, each a flag of it;
+# a config file may hold every field
+CONFIG_READS = {
+    "synth": ("sample_rate", "clip_s", "n_per_class", "seed", "snr_db",
+              "jitter_sigma_hz"),
+    "preprocess": ("sample_rate", "lead_ms", "n_fft", "alpha", "beta",
+                   "normalize_mode", "normalize_target", "seg_len_s",
+                   "pad_policy"),
+    "extract": ("sample_rate", "frame_len", "hop", "n_fft", "n_mels",
+                "n_coeffs", "fmin", "fmax", "pre_emphasis"),
+    "train": ("n_trees", "mtry", "max_depth", "min_samples_leaf",
+              "svm_lambda", "svm_epochs", "forest_weight", "svm_weight",
+              "seed"),
+    "evaluate": ("seed",),
+    "pipeline": tuple(name for name in FIELD_TYPES if name != "version"),
+    "render": ("sample_rate", "frame_len", "hop", "n_fft"),
+}
 
 
 def _command_parser() -> argparse.ArgumentParser:
-    """Reads only the command name, so that a call builds no flags of the
-    commands it does not run."""
+    """Reads only the command name; main builds it for --help and for a
+    first argument that is not a command."""
     listing = "\n".join(f"  {name:<11} {help_line}"
                         for name, (_, help_line, _) in COMMANDS.items())
     parser = argparse.ArgumentParser(
@@ -180,20 +188,27 @@ def _command_parser() -> argparse.ArgumentParser:
 
 
 def build_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one command: its own flags and the config flags."""
+    """The parser of one command: its own flags and its config flags."""
     _, help_line, flags = COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"audioanom {command}",
                                      description=help_line)
     for flag in flags:
         parser.add_argument(flag, required=True,
                             choices=RENDER_KINDS if flag == "--kind" else None)
-    _add_config_flags(parser)
+    parser.add_argument("--config", help="path to a JSON config file "
+                        f"(default: ${CONFIG_ENV})")
+    group = parser.add_argument_group("config overrides")
+    for name in CONFIG_READS[command]:
+        group.add_argument(f"--{name.replace('_', '-')}", dest=f"cfg_{name}",
+                           type=FIELD_TYPES[name][0], default=None,
+                           metavar="V")
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = _command_parser().parse_args(argv[:1]).command
+    command = argv[0] if argv and argv[0] in COMMANDS \
+        else _command_parser().parse_args(argv[:1]).command
     args = build_parser(command).parse_args(argv[1:])
     try:
         return COMMANDS[command][0](args)

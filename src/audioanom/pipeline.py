@@ -196,12 +196,14 @@ def _forest_of(model):
 
 
 def evaluate_model(model, test: FeatureSet,
-                   cfg: PipelineConfig) -> EvaluationReport:
+                   config_echo: dict) -> EvaluationReport:
+    """The report of model on test; config_echo holds the config fields
+    that made it, seed among them."""
     cm = predict_confusion(model, test)
     forest = _forest_of(model)
     top10 = feature_importance(forest)[:10] if forest is not None else None
-    return metrics(cm, importance_top10=top10, config_echo=cfg.to_dict(),
-                   seed=cfg.seed)
+    return metrics(cm, importance_top10=top10, config_echo=config_echo,
+                   seed=config_echo["seed"])
 
 
 def _check_split_rows(cfg: PipelineConfig) -> None:
@@ -265,7 +267,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> dict:
     for name, model in models.items():
         model_path = os.path.join(out_dir, f"model_{name}.json")
         save_model(model, model_path)
-        report = evaluate_model(model, test, cfg)
+        report = evaluate_model(model, test, cfg.to_dict())
         report_path = os.path.join(out_dir, f"report_{name}.json")
         emit_report(report, report_path)
         paths[f"model_{name}"] = model_path

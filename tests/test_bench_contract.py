@@ -6,8 +6,10 @@ the public functions of each module and reads counts from some results
 (`FrameMatrix.frames`, `SegmentSet.segments`, a forest's trees), and
 `bench_setup.extract_corpus` calls the stepwise pipeline functions by name
 and builds its corpus with `synthgen.CorpusSpec(n_per_class=..., seed=...)`.
-A change that renames one of these or changes such a result's shape fails
-here, in the unit tests, rather than in a benchmark run.
+Its workloads run `audioanom pipeline` and `audioanom evaluate` with the
+command lines below. A change that renames one of these, changes such a
+result's shape or drops a flag those command lines pass fails here, in the
+unit tests, rather than in a benchmark run.
 """
 
 import os
@@ -24,6 +26,7 @@ from bench_trace import PER_LAYER, Tracer  # noqa: E402
 
 from audioanom import evaluate, models, parallel  # noqa: E402
 from audioanom import pipeline as pl  # noqa: E402
+from audioanom.cli import build_parser  # noqa: E402
 from audioanom.config import PipelineConfig  # noqa: E402
 
 N_PER_CLASS = 3
@@ -54,7 +57,8 @@ def traced(tmp_path_factory):
         for name, model in trained.items():
             path = out / f"model_{name}.json"
             models.save_model(model, path)
-            report = pl.evaluate_model(models.load_model(path), features, cfg)
+            report = pl.evaluate_model(models.load_model(path), features,
+                                       cfg.to_dict())
             evaluate.emit_report(report, out / f"report_{name}.json")
     finally:
         tracer.uninstall()
@@ -100,3 +104,14 @@ def test_stepwise_files_the_benchmark_reads(traced):
     assert len(list((out / "corpus").glob("*.wav"))) == 2 * N_PER_CLASS
     assert len(list((out / "segments").glob("*.wav"))) \
         == len(features.vectors)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--out", "D", "--seed", "7"],
+    ["evaluate", "--model", "M", "--test", "T", "--out", "R", "--seed", "7"],
+], ids=["pipeline-default", "score"])
+def test_cli_takes_the_benchmark_command_lines(argv):
+    # the argv shapes of run.py's PipelineDefault.round and Score.round
+    args = build_parser(argv[0]).parse_args(argv[1:])
+    assert args.cfg_seed == 7
+    assert args.out == argv[argv.index("--out") + 1]

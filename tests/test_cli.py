@@ -1,5 +1,4 @@
 import argparse
-import ast
 import contextlib
 import copy
 import csv
@@ -8,6 +7,7 @@ import json
 import multiprocessing
 import os
 import platform
+import re
 import signal
 import struct
 import subprocess
@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from audioanom.audio_io import AudioBuffer, write_wav
-from audioanom.cli import COMMANDS, CONFIG_ENV, build_parser, main
-from audioanom.config import PipelineConfig
+from audioanom import cli, parallel
+from audioanom.cli import COMMANDS, CONFIG_ENV, CONFIG_READS, build_parser, main
+from audioanom.config import FIELD_TYPES, PipelineConfig
 from audioanom.synthgen import load_manifest
 
 SR = 16000
@@ -855,9 +856,17 @@ def test_split_row_settings_bind_only_pipeline(extracted, tmp_path, command):
               "extract": ["--manifest", str(manifest)],
               "train": ["--features", str(extracted[1]), "--n-trees", "2"],
               "render": ["--clip", str(clip), "--kind", "spectrum"]}
+    # a flag for each setting the command reads, the config file for the rest
+    settings = {"seg_len_s": 3, "pad_policy": "drop-last", "test_frac": 0.01}
+    flags = [arg for name, value in settings.items()
+             if name in CONFIG_READS[command]
+             for arg in (f"--{name.replace('_', '-')}", str(value))]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: value
+                                  for name, value in settings.items()
+                                  if name not in CONFIG_READS[command]}))
     out = tmp_path / "out"
-    assert main([command, *inputs[command], "--seg-len-s", "3",
-                 "--pad-policy", "drop-last", "--test-frac", "0.01",
+    assert main([command, *inputs[command], *flags, "--config", str(config),
                  "--out", str(out)]) == 0
     if command == "preprocess":
         assert len(load_manifest(out / "segments.csv")) == 1
@@ -869,18 +878,33 @@ CONFIG_FIELDS =[f for f in dataclasses.fields(PipelineConfig)
                  if f.name != "version"]
 
 
+def _config_flag(name) -> list:
+    value = getattr(PipelineConfig(), name)
+    return [f"--{name.replace('_', '-')}", "7" if value is None else str(value)]
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_every_command_takes_every_config_flag(command):
+def test_each_command_takes_only_the_config_flags_it_reads(command, capsys):
     own = [arg for flag in COMMANDS[command][2]
            for arg in (flag, "spectrum" if flag == "--kind" else "x")]
-    defaults = PipelineConfig()
+    reads = CONFIG_READS[command]
+    args = build_parser(command).parse_args(
+        own + [arg for name in reads for arg in _config_flag(name)])
+    assert [name for name in reads if getattr(args, f"cfg_{name}") is None] \
+        == []
+    # a flag of a field the command does not read is a usage error
     for f in CONFIG_FIELDS:
-        value = getattr(defaults, f.name)
-        own += [f"--{f.name.replace('_', '-')}",
-                "7" if value is None else str(value)]
-    args = build_parser(command).parse_args(own)
-    assert [f.name for f in CONFIG_FIELDS
-            if getattr(args, f"cfg_{f.name}") is None] == []
+        if f.name not in reads:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *own, *_config_flag(f.name)])
+            assert exc.value.code == 2, f.name
+            assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config", *COMMANDS[command][2],
+                      *(_config_flag(name)[0] for name in reads)}
 
 
 def test_help_lists_commands_and_flags(capsys):
@@ -892,19 +916,29 @@ def test_help_lists_commands_and_flags(capsys):
                     "pipeline", "render"):
         assert f"  {command} " in out
     with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--features", "--out", "--config", "config overrides",
+                 "--n-trees", "--svm-lambda"):
+        assert flag in out
+    with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for flag in ("--model", "--test", "--out", "--config", "config overrides",
-                 "--n-trees", "--svm-lambda"):
+                 "--seed"):
         assert flag in out
+    assert "--n-trees" not in out and "--svm-lambda" not in out
 
 
 @pytest.mark.parametrize("argv", [
     [], ["mystery"], ["--n-trees", "3"], ["evaluate", "--model", "m.json"],
     ["render", "--clip", "c.wav", "--kind", "photo", "--out", "o"],
+    ["evaluate", "--model", "m.json", "--test", "t.csv", "--out", "r.json",
+     "--n-trees", "7"],
 ], ids=["no_command", "unknown_command", "flag_first", "missing_flag",
-        "bad_choice"])
+        "bad_choice", "flag_of_another_command"])
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -926,9 +960,10 @@ def test_evaluate_builds_only_its_own_flags(extracted, small_forest,
     _, features = extracted
     assert main(["evaluate", "--model", str(small_forest), "--test",
                  str(features), "--out", str(tmp_path / "r.json")]) == 0
-    # two --help, the command name, --config, evaluate's own flags and one
-    # flag per config field
-    assert len(calls) <= 4 + len(COMMANDS["evaluate"][2]) + len(CONFIG_FIELDS)
+    # --help, --config, evaluate's own flags and a flag per config field it
+    # reads; no command-name parser
+    assert len(calls) == 2 + len(COMMANDS["evaluate"][2]) \
+        + len(CONFIG_READS["evaluate"])
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -960,31 +995,33 @@ def test_pipeline_matches_stepwise_commands(tmp_path):
     from audioanom.evaluate import stratified_split
     from audioanom.features import load_featureset, save_featureset
 
-    # config echo lands in every report, so every stage must see the same
-    # overrides for byte-identical output. 8 clips give each worker more
-    # than one on up to 4 CPUs.
-    flags = ["--n-trees", "5", "--svm-epochs", "5", "--n-per-class", "4",
-             "--seed", "11"]
+    # each command takes the flags of the settings it reads, and the
+    # pipeline all of them. 8 clips give each worker more than one on up to
+    # 4 CPUs.
+    synth = ["--n-per-class", "4", "--seed", "11"]
+    train_flags = ["--n-trees", "5", "--svm-epochs", "5", "--seed", "11"]
     out = tmp_path / "pipe"
-    assert main(["pipeline", "--out", str(out)] + flags) == 0
+    assert main(["pipeline", "--out", str(out), "--n-per-class", "4"]
+                + train_flags) == 0
 
     step = tmp_path / "step"
     step.mkdir()
-    assert main(["synth", "--out", str(step / "corpus")] + flags) == 0
+    assert main(["synth", "--out", str(step / "corpus")] + synth) == 0
     assert main(["preprocess", "--manifest", str(step / "corpus" / "manifest.csv"),
-                 "--out", str(step / "segments")] + flags) == 0
+                 "--out", str(step / "segments")]) == 0
     assert main(["extract", "--manifest", str(step / "segments" / "segments.csv"),
-                 "--out", str(step / "features.csv")] + flags) == 0
+                 "--out", str(step / "features.csv")]) == 0
     features = load_featureset(step / "features.csv")
     train, test = stratified_split(features, 0.3, seed=11)
     save_featureset(train, step / "train.csv")
     save_featureset(test, step / "test.csv")
     assert main(["train", "--features", str(step / "train.csv"),
-                 "--out", str(step)] + flags) == 0
+                 "--out", str(step)] + train_flags) == 0
     for name in ("forest", "svm", "ensemble"):
         assert main(["evaluate", "--model", str(step / f"model_{name}.json"),
                      "--test", str(step / "test.csv"),
-                     "--out", str(step / f"report_{name}.json")] + flags) == 0
+                     "--out", str(step / f"report_{name}.json"),
+                     "--seed", "11"]) == 0
 
     def same_files(a, b, names):
         for name in names:
@@ -998,9 +1035,17 @@ def test_pipeline_matches_stepwise_commands(tmp_path):
     assert sorted(os.listdir(step / "segments")) == seg_wavs + ["segments.csv"]
     same_files(out / "segments", step / "segments", seg_wavs)
     same_files(out, step, ["features.csv", "train.csv", "test.csv",
-                           *[f"{kind}_{name}.json"
-                             for kind in ("model", "report")
+                           *[f"model_{name}.json"
                              for name in ("forest", "svm", "ensemble")]])
+    # a pipeline report echoes the whole config, a stepwise one the seed,
+    # the one field evaluate reads; the rest is the same
+    config = PipelineConfig(n_trees=5, svm_epochs=5, n_per_class=4, seed=11)
+    for name in ("forest", "svm", "ensemble"):
+        piped, stepped = (json.loads((d / f"report_{name}.json").read_text())
+                          for d in (out, step))
+        assert piped.pop("config_echo") == config.to_dict()
+        assert stepped.pop("config_echo") == {"seed": 11}
+        assert piped == stepped, name
 
     # the two segments.csv files sit in different directories, so their
     # relative paths differ; the rows must not
@@ -1285,22 +1330,86 @@ def test_config_precedence(tmp_path, monkeypatch):
     assert (flagged["beta"], flagged["n_trees"]) == (0.02, 3)
 
 
-def test_every_config_field_is_read():
-    # a field no stage reads is a setting that changes nothing
-    import audioanom.cli
-    import audioanom.features
-    import audioanom.pipeline
-    import audioanom.synthgen
-    read = set()
-    for module in (audioanom.cli, audioanom.features, audioanom.pipeline,
-                   audioanom.synthgen):
-        with open(module.__file__, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute)
-                 and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
-    fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"version"}
-    assert sorted(fields - read) == []
+def _recording_config(read):
+    """A PipelineConfig subclass that adds each field a stage reads to
+    read. validate, to_dict and the _mel_bank cache key (__hash__, __eq__)
+    read every field, and do not count."""
+    quiet = []
+
+    class Recording(PipelineConfig):
+        def __getattribute__(self, name):
+            if name in FIELD_TYPES and not quiet:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    def uncounted(method):
+        def call(*args):
+            quiet.append(method)
+            try:
+                return method(*args)
+            finally:
+                quiet.pop()
+        return call
+
+    for name in ("validate", "to_dict", "__hash__", "__eq__"):
+        setattr(Recording, name, uncounted(getattr(PipelineConfig, name)))
+    return Recording
+
+
+def test_every_config_field_is_read(corpus, extracted, small_forest,
+                                    tmp_path, monkeypatch):
+    # each command reads exactly the fields it has flags for, and the
+    # pipeline every field: a field no stage reads changes nothing. On one
+    # CPU the pools run in-process, where the reads are seen.
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    work, features = extracted
+    inputs = {
+        "synth": ["--n-per-class", "1"],
+        "preprocess": ["--manifest", corpus / "manifest.csv"],
+        "extract": ["--manifest", work / "segments" / "segments.csv"],
+        "train": ["--features", features, "--n-trees", "2",
+                  "--svm-epochs", "1"],
+        "evaluate": ["--model", small_forest, "--test", features],
+        "pipeline": ["--n-per-class", "2", "--n-trees", "2",
+                     "--svm-epochs", "1"],
+        "render": ["--clip", sorted(corpus.glob("*.wav"))[0],
+                   "--kind", "spectrum"],
+    }
+    assert sorted(inputs) == sorted(COMMANDS)
+    for command, args in inputs.items():
+        read = set()
+        monkeypatch.setattr(cli, "PipelineConfig", _recording_config(read))
+        assert main([command, *map(str, args),
+                     "--out", str(tmp_path / command)]) == 0
+        assert sorted(read) == sorted(CONFIG_READS[command]), command
+    assert sorted(CONFIG_READS["pipeline"]) == sorted(f.name
+                                                      for f in CONFIG_FIELDS)
+
+
+def test_one_config_file_serves_every_command(extracted, small_forest,
+                                              tmp_path, monkeypatch, capsys):
+    # $AUDIOANOM_CONFIG may hold every field; each command reads its own,
+    # and the whole file is validated
+    _, features = extracted
+    full = PipelineConfig(seed=9, n_trees=3, svm_epochs=1).to_dict()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(full))
+    monkeypatch.setenv(CONFIG_ENV, str(config))
+    evaluate = ["evaluate", "--model", str(small_forest),
+                "--test", str(features), "--out"]
+    report = tmp_path / "report.json"
+    assert main(evaluate + [str(report)]) == 0
+    assert json.loads(report.read_text())["config_echo"] == {"seed": 9}
+    models = tmp_path / "models"
+    assert main(["train", "--features", str(features),
+                 "--out", str(models)]) == 0
+    forest = json.loads((models / "model_forest.json").read_text())
+    assert len(forest["trees"]) == 3
+    config.write_text(json.dumps({**full, "n_trees": 0}))
+    bad = tmp_path / "bad.json"
+    assert main(evaluate + [str(bad)]) == 2
+    assert "n_trees must be >= 1" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def _read_pgm(path):
