@@ -10,8 +10,11 @@ command has a flag for each config field its stages read, and no others.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -41,8 +44,54 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig.from_dict(values)
 
 
+def _moves(stage, out):
+    """(staged, target) pairs putting stage's entries into out, a directory
+    into out's own of its name; FileExistsError where file and dir clash."""
+    for name in os.listdir(stage):
+        src, dst = os.path.join(stage, name), os.path.join(out, name)
+        if os.path.isdir(src) and os.path.isdir(dst):
+            yield from _moves(src, dst)
+        elif os.path.isdir(dst) or os.path.isdir(src) and os.path.lexists(dst):
+            raise FileExistsError(f"{src}: a file and a directory clash")
+        else:
+            yield src, dst
+
+
+@contextlib.contextmanager
+def _staged(out, one_file=False):
+    """Yield a fresh staging directory inside out, made if missing; with
+    one_file, the path of file out in a staging directory beside it. On
+    success the staged files replace those of their names in out, and
+    nothing else there changes. On any exception the stage goes, or every
+    directory made for a fresh out, and an AudioAnomError or OSError names
+    out where it named the stage."""
+    base = os.path.dirname(out) if one_file else out
+    made, path = None, os.path.abspath(base)   # the outermost dir to make
+    while not os.path.lexists(path):
+        path, made = os.path.dirname(path), path
+    os.makedirs(base or os.curdir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".staging-", dir=base or os.curdir)
+    try:
+        yield os.path.join(stage, os.path.basename(out)) if one_file else stage
+        for src, dst in list(_moves(stage, base)):   # all checked first
+            os.replace(src, dst)
+    except BaseException as exc:
+        shutil.rmtree(made or stage, ignore_errors=True)
+        if isinstance(exc, (AudioAnomError, OSError)):
+            old, new = os.path.join(stage, ""), os.path.join(base, "")
+            def fix(x):
+                return x.replace(old, new) if isinstance(x, str) else x
+            exc.args = tuple(map(fix, exc.args))
+            if isinstance(exc, OSError) and exc.filename is not None:
+                exc.filename = fix(exc.filename)
+        raise
+    shutil.rmtree(stage)
+
+
 def cmd_synth(args) -> int:
-    rows = generate_corpus(_load_config(args), args.out)
+    cfg = _load_config(args)
+    with _staged(args.out) as out:
+        rows = generate_corpus(cfg, out)
     print(f"wrote {len(rows)} clips to {args.out}")
     return 0
 
@@ -50,9 +99,9 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _load_config(args)
     rows = load_manifest(args.manifest)
-    seg_rows = pl.preprocess_manifest(rows, cfg, args.out)
-    manifest_path = os.path.join(args.out, "segments.csv")
-    pl.write_segment_manifest(seg_rows, manifest_path)
+    with _staged(args.out) as out:
+        seg_rows = pl.preprocess_manifest(rows, cfg, out)
+        pl.write_segment_manifest(seg_rows, os.path.join(out, "segments.csv"))
     print(f"wrote {len(seg_rows)} segments to {args.out}")
     return 0
 
@@ -61,7 +110,8 @@ def cmd_extract(args) -> int:
     cfg = _load_config(args)
     rows = load_manifest(args.manifest)
     features = pl.extract_manifest(rows, cfg)
-    save_featureset(features, args.out)
+    with _staged(args.out, one_file=True) as out:
+        save_featureset(features, out)
     print(f"wrote {len(features.vectors)} feature rows to {args.out}")
     return 0
 
@@ -70,9 +120,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     train = load_featureset(args.features)
     models = pl.train_models(train, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    for name, model in models.items():
-        save_model(model, os.path.join(args.out, f"model_{name}.json"))
+    with _staged(args.out) as out:
+        for name, model in models.items():
+            save_model(model, os.path.join(out, f"model_{name}.json"))
     print(f"wrote forest/svm/ensemble models to {args.out}")
     return 0
 
@@ -83,17 +133,20 @@ def cmd_evaluate(args) -> int:
     test = load_featureset(args.test)
     echo = {name: getattr(cfg, name) for name in CONFIG_READS["evaluate"]}
     report = pl.evaluate_model(model, test, echo)
-    emit_report(report, args.out)
+    with _staged(args.out, one_file=True) as out:
+        emit_report(report, out)
     print(f"accuracy {report.accuracy:.4f} -> {args.out}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
-    paths = pl.run_pipeline(cfg, args.out)
+    with _staged(args.out) as out:
+        paths = pl.run_pipeline(cfg, out)
     print(f"pipeline complete; reports in {args.out}")
     for key in sorted(paths):
-        print(f"  {key}: {paths[key]}")
+        path = os.path.relpath(paths[key], out)
+        print(f"  {key}: {os.path.join(args.out, path)}")
     return 0
 
 
@@ -113,24 +166,27 @@ def cmd_render(args) -> int:
             raise SignalTooShort(f"{args.clip}: need at least {cfg.frame_len} "
                                  f"samples for a {args.kind}, got {len(buf)}")
         power = power_spectrogram(fm, cfg.n_fft)
-    if args.kind == "waveform":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("time_s,amplitude\n")
-            for i, x in enumerate(buf.samples):
-                fh.write(f"{i / buf.sample_rate:.6f},{x:.8f}\n")
-    elif args.kind == "spectrum":
-        power_db = 10.0 * np.log10(power.mean(axis=0) + LOG_FLOOR)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("freq_hz,power_db\n")
-            for k, p in enumerate(power_db):
-                fh.write(f"{k * cfg.sample_rate / cfg.n_fft:.4f},{p:.4f}\n")
-    else:  # spectrogram
-        db = np.clip(10.0 * np.log10(power + LOG_FLOOR), SPECTROGRAM_DB_MIN,
-                     SPECTROGRAM_DB_MAX)
-        scaled = (db - SPECTROGRAM_DB_MIN) / (SPECTROGRAM_DB_MAX - SPECTROGRAM_DB_MIN)
-        pixels = np.round(scaled * 255.0)
-        # rows = frequency with bin 0 at the bottom; columns = time
-        _write_pgm(args.out, pixels.T[::-1, :])
+    with _staged(args.out, one_file=True) as out:
+        if args.kind == "waveform":
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write("time_s,amplitude\n")
+                for i, x in enumerate(buf.samples):
+                    fh.write(f"{i / buf.sample_rate:.6f},{x:.8f}\n")
+        elif args.kind == "spectrum":
+            power_db = 10.0 * np.log10(power.mean(axis=0) + LOG_FLOOR)
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write("freq_hz,power_db\n")
+                for k, p in enumerate(power_db):
+                    fh.write(f"{k * cfg.sample_rate / cfg.n_fft:.4f},"
+                             f"{p:.4f}\n")
+        else:  # spectrogram
+            db = np.clip(10.0 * np.log10(power + LOG_FLOOR),
+                         SPECTROGRAM_DB_MIN, SPECTROGRAM_DB_MAX)
+            scaled = ((db - SPECTROGRAM_DB_MIN)
+                      / (SPECTROGRAM_DB_MAX - SPECTROGRAM_DB_MIN))
+            pixels = np.round(scaled * 255.0)
+            # rows = frequency with bin 0 at the bottom; columns = time
+            _write_pgm(out, pixels.T[::-1, :])
     print(f"wrote {args.kind} to {args.out}")
     return 0
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-import shutil
 
 from .audio_io import AudioBuffer, read_wav, resample_linear, write_wav
 from .config import PipelineConfig
@@ -77,29 +76,13 @@ def _preprocess_row(cfg: PipelineConfig, out_dir, row) -> list:
     return _write_segments(clip_id, label, segments, out_dir)[0]
 
 
-def _first_missing(path):
-    """The outermost directory that os.makedirs(path) would create, or None
-    when path exists."""
-    path, missing = os.path.abspath(path), None
-    while not os.path.lexists(path):
-        path, missing = os.path.dirname(path), path
-    return missing
-
-
 def preprocess_manifest(rows, cfg: PipelineConfig, out_dir) -> list:
-    """Process every manifest clip, one clip per pool_map task; returns the
-    segment manifest rows sorted by (clip_id, segment index). A failure is
-    the lowest failing clip's in clip_id order. A run that fails removes the
-    directories it made for out_dir, and never one that was there before."""
-    made = _first_missing(out_dir)
+    """Write every manifest clip's segment WAVs into out_dir, one clip per
+    pool_map task; returns the segment manifest rows sorted by (clip_id,
+    segment index). A failure is the lowest failing clip's."""
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        clips = pool_map(functools.partial(_preprocess_row, cfg, out_dir),
-                         sorted(rows, key=lambda r: r[0]))
-    except BaseException:
-        if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
-        raise
+    clips = pool_map(functools.partial(_preprocess_row, cfg, out_dir),
+                     sorted(rows, key=lambda r: r[0]))
     return [seg_row for clip_seg_rows in clips for seg_row in clip_seg_rows]
 
 

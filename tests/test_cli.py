@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -18,9 +19,10 @@ import numpy as np
 import pytest
 
 from audioanom.audio_io import AudioBuffer, write_wav
-from audioanom import cli, parallel
+from audioanom import cli, parallel, pipeline, synthgen
 from audioanom.cli import COMMANDS, CONFIG_ENV, CONFIG_READS, build_parser, main
 from audioanom.config import FIELD_TYPES, PipelineConfig
+from audioanom.errors import IoFailure
 from audioanom.synthgen import load_manifest
 
 SR = 16000
@@ -712,6 +714,7 @@ def test_bad_input_exit_code_and_message(extracted, small_forest, tmp_path,
     err = capsys.readouterr().err
     for fragment in named:
         assert fragment.replace("{file}", str(path)) in err
+    assert ".staging-" not in err
     assert not out.exists()
     assert set(os.listdir(tmp_path)) <= {"input"}   # nor anything beside it
 
@@ -757,7 +760,7 @@ def _good_then_missing(tmp_path):
 @pytest.mark.parametrize("out_name", ["seg", "new/seg"])
 def test_preprocess_later_clip_failure_leaves_no_out(tmp_path, capsys,
                                                      out_name):
-    # c0's segments may be written before c1 fails; the run removes the
+    # c0's segments may be staged before c1 fails; the run removes the
     # directories it made, so no half-written --out is left to read
     manifest = _good_then_missing(tmp_path)
     assert main(["preprocess", "--manifest", str(manifest),
@@ -774,6 +777,153 @@ def test_preprocess_failure_keeps_an_existing_out(tmp_path):
     assert main(["preprocess", "--manifest", str(manifest),
                  "--out", str(out)]) == 1
     assert (out / "notes.txt").read_text() == "mine\n"
+    # no c0_seg*.wav, no segments.csv and no staging directory
+    assert os.listdir(out) == ["notes.txt"]
+
+
+# command -> (its flags but --out, {name} standing for an input's path; a
+# flag that makes an earlier run write other bytes; the name of the file it
+# writes, or None for a directory command; the module and name of its last
+# write, and the call of it that is the last)
+LAST_WRITE = {
+    "synth": (["--n-per-class", "2", "--seed", "3"], ["--seed", "4"], None,
+              synthgen, "write_manifest", 1),
+    "preprocess": (["--manifest", "{manifest}"], ["--normalize-target", "0.5"],
+                   None, pipeline, "write_segment_manifest", 1),
+    "extract": (["--manifest", "{segments}"], ["--pre-emphasis", "0.9"],
+                "features.csv", cli, "save_featureset", 1),
+    "train": (["--features", "{features}", "--n-trees", "2",
+               "--svm-epochs", "1"], ["--n-trees", "3"], None, cli,
+              "save_model", 3),
+    "evaluate": (["--model", "{model}", "--test", "{features}"],
+                 ["--seed", "1"], "report.json", cli, "emit_report", 1),
+    "pipeline": (["--n-per-class", "4", "--seed", "11", "--n-trees", "2",
+                  "--svm-epochs", "1"], ["--seed", "12"], None, pipeline,
+                 "emit_report", 3),
+    "render": (["--clip", "{clip}", "--kind", "spectrogram"],
+               ["--hop", "200"], "clip.pgm", cli, "_write_pgm", 1),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(corpus, extracted, small_forest):
+    work, features = extracted
+    return {"manifest": corpus / "manifest.csv",
+            "clip": corpus / "clip_0000_normal.wav",
+            "segments": work / "segments" / "segments.csv",
+            "features": features, "model": small_forest}
+
+
+def _tree_digest(root) -> dict:
+    """Every directory and file under root, a file by its sha256."""
+    found = {}
+    for top, dirs, files in os.walk(root):
+        for name in dirs:
+            found[os.path.relpath(os.path.join(top, name), root)] = "dir"
+        for name in files:
+            path = os.path.join(top, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = \
+                    hashlib.sha256(fh.read()).hexdigest()
+    return found
+
+
+def _command_argv(command, inputs, parent):
+    """The argv of command with --out parent/out, or for a command that
+    writes one file, parent/<its file>; and that --out."""
+    flags, _, out_file, _, _, _ = LAST_WRITE[command]
+    out = parent / (out_file or "out")
+    return [command, *(flag.format(**inputs) for flag in flags),
+            "--out", str(out)], out
+
+
+@pytest.mark.parametrize("fault", [IoFailure, KeyboardInterrupt])
+@pytest.mark.parametrize("state", ["fresh", "nested", "existing"])
+@pytest.mark.parametrize("command", sorted(LAST_WRITE))
+def test_failed_last_write_leaves_out_as_it_was(
+        inputs, tmp_path, monkeypatch, capsys, command, state, fault):
+    # the command's last write takes place, then fails; a fresh --out is
+    # gone, with the parents made for it, and an existing one, holding an
+    # earlier run's other bytes, is unchanged
+    work = tmp_path / "work"
+    work.mkdir()
+    argv, out = _command_argv(command, inputs,
+                              work / "new" if state == "nested" else work)
+    _, earlier, _, module, name, last = LAST_WRITE[command]
+    if state == "existing":
+        assert main(argv + earlier) == 0
+        ((out if out.is_dir() else work) / "notes.txt").write_text("mine\n")
+    before = _tree_digest(work)
+    write, calls = getattr(module, name), []
+
+    def failing_write(*args):
+        write(*args)
+        calls.append(args)
+        if len(calls) == last:
+            raise fault(f"cannot write {args[-1]}: injected fault")
+
+    monkeypatch.setattr(module, name, failing_write)
+    if fault is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "injected fault" in err and ".staging-" not in err
+    assert len(calls) == last
+    assert _tree_digest(work) == before
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", sorted(LAST_WRITE))
+def test_rerun_into_existing_out_changes_only_its_files(inputs, tmp_path,
+                                                        command):
+    # a rerun replaces each file with the same bytes and leaves the rest
+    argv, out = _command_argv(command, inputs, tmp_path)
+    assert main(argv) == 0
+    ((out if out.is_dir() else tmp_path) / "notes.txt").write_text("mine\n")
+    before = _tree_digest(tmp_path)
+    assert main(argv) == 0
+    assert _tree_digest(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate", "render"])
+def test_file_command_never_replaces_a_directory(inputs, tmp_path, capsys,
+                                                 command):
+    argv, out = _command_argv(command, inputs, tmp_path)
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    before = _tree_digest(tmp_path)
+    assert main(argv) == 1
+    assert f"error: {out}: a file and a directory clash" in \
+        capsys.readouterr().err
+    assert _tree_digest(tmp_path) == before
+
+
+def test_pipeline_never_replaces_a_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("mine\n")
+    assert main(["pipeline", "--out", str(out), "--n-per-class", "4"]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["out"]
+    assert out.read_text() == "mine\n"
+
+
+def test_train_moves_nothing_unless_every_model_can_move(extracted, tmp_path,
+                                                         capsys):
+    # model_svm.json is a directory: model_forest.json, which would move
+    # first, keeps the earlier run's bytes
+    out = tmp_path / "models"
+    argv = ["train", "--features", str(extracted[1]), "--out", str(out),
+            "--svm-epochs", "1"]
+    assert main(argv + ["--n-trees", "2"]) == 0
+    os.remove(out / "model_svm.json")
+    (out / "model_svm.json").mkdir()
+    before = _tree_digest(tmp_path)
+    assert main(argv + ["--n-trees", "3"]) == 1
+    assert f"{out / 'model_svm.json'}: a file and a directory clash" in \
+        capsys.readouterr().err
+    assert _tree_digest(tmp_path) == before
 
 
 def _two_workers_slow_on(monkeypatch, slow_path):
