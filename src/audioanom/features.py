@@ -62,11 +62,13 @@ class FeatureSet:
         return np.array([index[v.label] for v in self.vectors], dtype=np.intp)
 
     @classmethod
-    def of(cls, vectors: list, names: tuple) -> "FeatureSet":
-        """The table of `vectors` under `names`, its class names the sorted
-        distinct labels of its labeled rows."""
-        labels = {v.label for v in vectors} - {None}
-        return cls(vectors, names, tuple(sorted(labels)))
+    def of(cls, names: tuple, rows, ids, labels) -> "FeatureSet":
+        """The table whose row i holds the values rows[i] of clip ids[i],
+        labeled labels[i], under `names`, which every row shares; its class
+        names are the sorted distinct labels of its labeled rows."""
+        vectors = [FeatureVector(names, x, clip_id, label)
+                   for x, clip_id, label in zip(rows, ids, labels)]
+        return cls(vectors, names, tuple(sorted(set(labels) - {None})))
 
     def subset(self, indices) -> "FeatureSet":
         return FeatureSet([self.vectors[i] for i in indices],
@@ -206,8 +208,7 @@ def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
 @functools.lru_cache(maxsize=None)
 def feature_schema(n_coeffs: int) -> tuple:
     """The 2 * n_coeffs + 4 feature names, in column order. Built once per
-    n_coeffs, so the vectors of a table share one tuple, and a pool chunk
-    pickles it once."""
+    n_coeffs and shared, as _mel_bank's layout is."""
     names = [f"MFCC_mean_{i}" for i in range(1, n_coeffs + 1)]
     names += [f"MFCC_std_{i}" for i in range(1, n_coeffs + 1)]
     names += ["ZCR_mean", "ZCR_std", "Centroid_mean", "Centroid_std"]
@@ -217,10 +218,9 @@ def feature_schema(n_coeffs: int) -> tuple:
 def extract_clip_features(
     segment: AudioBuffer,
     cfg: PipelineConfig = PipelineConfig(),
-    clip_id: str = "",
-    label: Optional[str] = None,
 ) -> FeatureVector:
-    """Aggregate per-frame MFCC/ZCR/centroid to one named clip vector."""
+    """Aggregate per-frame MFCC/ZCR/centroid to one named, unlabeled clip
+    vector; FeatureSet.of gives a table's rows their ids and labels."""
     coeffs = mfcc(segment, cfg)
 
     fm = frame_signal(segment, cfg.frame_len, cfg.hop)
@@ -234,8 +234,7 @@ def extract_clip_features(
         [zcrs.mean(), zcrs.std(),
          centroids.mean(), centroids.std()],
     ])
-    return FeatureVector(feature_schema(cfg.n_coeffs), values,
-                         clip_id=clip_id, label=label)
+    return FeatureVector(feature_schema(cfg.n_coeffs), values, clip_id="")
 
 
 # --- FeatureSet CSV serialization ---
@@ -293,10 +292,10 @@ def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
         X = np.array([[_feature_value(x, row[0], name, source)
                        for x, name in zip(row[2:], names)] for row in rows])
     X = X.reshape(len(rows), len(names))
-    vectors = [FeatureVector(names, x, clip_id=row[0], label=row[1] or None)
-               for row, x in zip(rows, X)]
-    require_finite(X, vectors)
-    return FeatureSet.of(vectors, names)
+    fs = FeatureSet.of(names, X, [row[0] for row in rows],
+                       [row[1] or None for row in rows])
+    require_finite(X, fs.vectors)
+    return fs
 
 
 def _feature_value(x: str, clip_id: str, name: str, source: str) -> float:

@@ -22,7 +22,6 @@ from .evaluate import (
 )
 from .features import (
     FeatureSet,
-    FeatureVector,
     _mel_bank,
     extract_clip_features,
     feature_schema,
@@ -90,50 +89,42 @@ def write_segment_manifest(seg_rows, path) -> None:
     write_manifest(seg_rows, path)
 
 
-def _segment_features(buf: AudioBuffer, cfg: PipelineConfig, seg_id,
-                     label) -> FeatureVector:
-    """The feature vector of one segment, at the configured sample rate."""
-    return extract_clip_features(resample_linear(buf, cfg.sample_rate), cfg,
-                                 clip_id=seg_id, label=label)
-
-
-def _featureset(vectors) -> FeatureSet:
-    return FeatureSet.of(vectors, vectors[0].names if vectors else ())
+def _segment_values(buf: AudioBuffer, cfg: PipelineConfig):
+    """The feature values of one segment, at the configured sample rate."""
+    return extract_clip_features(resample_linear(buf, cfg.sample_rate),
+                                 cfg).values
 
 
 def _row_values(cfg: PipelineConfig, row):
     """The feature values of one (segment) manifest row; SignalTooShort
     names the clip and file of a segment shorter than one frame."""
-    seg_id, path, label = row
+    seg_id, path, _ = row
     try:
-        return _segment_features(read_wav(path), cfg, seg_id, label).values
+        return _segment_values(read_wav(path), cfg)
     except SignalTooShort as exc:
         raise SignalTooShort(f"clip {seg_id!r} ({path}): {exc}") from exc
 
 
 def extract_manifest(rows, cfg: PipelineConfig) -> FeatureSet:
-    """Feature vectors for every (segment) manifest row, in row order, one
-    row per pool_map task; a failure is the lowest failing row's. The
-    vectors are built here, so the whole table shares one names tuple."""
+    """The feature table of the (segment) manifest rows, in row order, one
+    row per pool_map task; a failure is the lowest failing row's."""
     rows = list(rows)
-    names = feature_schema(cfg.n_coeffs)
     values = pool_map(functools.partial(_row_values, cfg), rows)
-    return _featureset([FeatureVector(names, v, seg_id, label)
-                        for v, (seg_id, _, label) in zip(values, rows)])
+    return FeatureSet.of(feature_schema(cfg.n_coeffs), values,
+                         [r[0] for r in rows], [r[2] for r in rows])
 
 
 def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:
     """Clip i through synth, preprocess and extract, writing its corpus and
     segment WAVs. Returns its manifest row, its segment rows and their
-    feature vectors, which equal the file-based stages' because every stage
+    feature values, which equal the file-based stages' because every stage
     reads the samples its WAVs hold: those write_wav returns."""
     clip_id, label, buf = render_clip(cfg, i)
     path = os.path.join(corpus_dir, clip_id + ".wav")
     segments = preprocess_clip(write_wav(buf, path), cfg)
     seg_rows, written = _write_segments(clip_id, label, segments, seg_dir)
-    vectors = [_segment_features(seg, cfg, seg_id, label)
-               for seg, (seg_id, _, _) in zip(written, seg_rows)]
-    return (clip_id, path, label), seg_rows, vectors
+    return ((clip_id, path, label), seg_rows,
+            [_segment_values(seg, cfg) for seg in written])
 
 
 def _front_end(cfg: PipelineConfig, corpus_dir, seg_dir) -> tuple:
@@ -145,12 +136,14 @@ def _front_end(cfg: PipelineConfig, corpus_dir, seg_dir) -> tuple:
     os.makedirs(seg_dir, exist_ok=True)
     clips = pool_map(functools.partial(_run_clip, cfg, corpus_dir, seg_dir),
                      range(2 * cfg.n_per_class))
-    seg_rows, vectors = [], []
-    for _, clip_seg_rows, clip_vectors in sorted(clips,
-                                                 key=lambda c: c[0][0]):
+    seg_rows, values = [], []
+    for _, clip_seg_rows, clip_values in sorted(clips, key=lambda c: c[0][0]):
         seg_rows += clip_seg_rows
-        vectors += clip_vectors
-    return [row for row, _, _ in clips], seg_rows, _featureset(vectors)
+        values += clip_values
+    features = FeatureSet.of(feature_schema(cfg.n_coeffs), values,
+                             [r[0] for r in seg_rows],
+                             [r[2] for r in seg_rows])
+    return [row for row, _, _ in clips], seg_rows, features
 
 
 def train_models(train: FeatureSet, cfg: PipelineConfig) -> dict:

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import glob
 import hashlib
 import json
 import multiprocessing
@@ -272,6 +273,24 @@ def test_evaluate_header_only_csv(extracted, small_forest, tmp_path, capsys):
     assert main(["evaluate", "--model", str(small_forest),
                  "--test", str(empty), "--out", str(tmp_path / "r.json")]) == 1
     assert "zero instances" in capsys.readouterr().err
+
+
+def test_extract_empty_manifest_keeps_the_feature_columns(
+        small_forest, tmp_path, capsys):
+    # an empty table still has its 30 feature columns, so scoring it meets
+    # the empty confusion matrix, not a schema mismatch
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("clip_id,path,label\n")
+    features = tmp_path / "features.csv"
+    assert main(["extract", "--manifest", str(manifest),
+                 "--out", str(features)]) == 0
+    header = features.read_text()
+    assert header.startswith("clip_id,label,MFCC_mean_1,")
+    assert header.endswith(",Centroid_std\n") and header.count(",") == 31
+    assert main(["evaluate", "--model", str(small_forest), "--test",
+                 str(features), "--out", str(tmp_path / "r.json")]) == 1
+    assert "error: confusion matrix holds zero instances" in \
+        capsys.readouterr().err
 
 
 def test_evaluate_empty_label_names_clip(extracted, small_forest, tmp_path,
@@ -1209,38 +1228,27 @@ def test_pipeline_matches_stepwise_commands(tmp_path):
 
 
 def test_feature_rows_share_names(tmp_path, monkeypatch):
-    # a pool chunk's vectors come back with one names tuple, not one each,
-    # and extract_manifest, which builds its vectors from the values its
-    # workers return, shares one across its whole table
-    from multiprocessing.pool import Pool
-
+    # FeatureSet.of builds every row of a table under the table's one names
+    # tuple, for the pipeline's pooled front end and for extract_manifest
     from audioanom import pipeline
 
-    chunksizes, saved = [], []
-    imap, save = Pool.imap, pipeline.save_featureset
-
-    def recording_imap(self, func, iterable, chunksize=1):
-        chunksizes.append(chunksize)
-        return imap(self, func, iterable, chunksize)
+    saved = []
+    save = pipeline.save_featureset
 
     def recording_save(fs, path):
         saved.append(fs)
         save(fs, path)
 
-    monkeypatch.setattr(Pool, "imap", recording_imap)
     monkeypatch.setattr(pipeline, "save_featureset", recording_save)
     cfg = PipelineConfig(n_per_class=10, n_trees=2, svm_epochs=1)
     paths = pipeline.run_pipeline(cfg, tmp_path / "p")
     features = saved[0]   # features.csv's table, saved before the split
-    n_clips = 2 * cfg.n_per_class
-    # the front end's map comes first; one CPU maps in-process, one chunk
-    n_chunks = -(-n_clips // chunksizes[0]) if chunksizes else 1
-    assert n_chunks < len(features.vectors) == 2 * n_clips
-    assert len({id(v.names) for v in features.vectors}) <= n_chunks
+    assert len(features.vectors) == 4 * cfg.n_per_class
+    assert {id(v.names) for v in features.vectors} == {id(features.names)}
 
     rows = load_manifest(paths["segment_manifest"])
     extracted = pipeline.extract_manifest(rows, cfg)
-    assert len({id(v.names) for v in extracted.vectors}) == 1
+    assert {id(v.names) for v in extracted.vectors} == {id(extracted.names)}
 
 
 def test_pipeline_worker_error_reaches_cli(tmp_path, monkeypatch, capsys):
@@ -1384,6 +1392,64 @@ def test_pool_workers_keep_freed_memory_mapped():
     assert len(faults) == 2 and max(faults) < 1000, faults
 
 
+def _proc_stat(pid):
+    """The fields of /proc/<pid>/stat after the command name, or None once
+    the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux")
+         and len(os.sched_getaffinity(0)) >= 2),
+    reason="reads /proc and needs a pool of two workers")
+def test_killed_pipeline_leaves_no_worker_and_no_traceback(tmp_path):
+    # a SIGKILL of the CLI mid-map takes its pool workers with it, before
+    # any of them can meet the closed result pipe
+    import audioanom
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(audioanom.__file__))}
+    out, err = tmp_path / "p", tmp_path / "stderr.txt"
+    with open(err, "w") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _CLI, "pipeline", "--out", str(out),
+             "--n-per-class", "100"],
+            env=env, stdout=subprocess.DEVNULL, stderr=fh)
+    workers = {}   # pid -> start time, which tells a reused pid apart
+
+    def alive():
+        return [pid for pid, start in workers.items()
+                if (st := _proc_stat(pid)) and st[19] == start
+                and st[0] != "Z"]
+
+    try:
+        deadline = time.monotonic() + 60
+        while len(glob.glob(str(out / ".staging-*" / "corpus" / "*.wav"))) \
+                < 20:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        for name in os.listdir("/proc"):
+            st = _proc_stat(name) if name.isdigit() else None
+            if st and st[1] == str(proc.pid):
+                workers[int(name)] = st[19]
+        assert workers
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while alive() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert alive() == []
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in alive():
+            os.kill(pid, signal.SIGKILL)
+    assert "BrokenPipeError" not in err.read_text()
+
+
 class _Libc:
     """A libc whose mallopt records its calls and returns `ok`."""
 
@@ -1427,6 +1493,16 @@ def test_keep_heap_never_raises(monkeypatch):
     for cdll in (no_libc, lambda name: object()):  # object(): no mallopt
         monkeypatch.setattr(parallel.ctypes, "CDLL", cdll)
         assert parallel._keep_heap() is None
+
+
+def test_worker_init_without_prctl_still_keeps_its_heap(monkeypatch):
+    # the parent-death step and the mallopt step are separate, so a libc
+    # with no prctl (this fake one) still gets its mallopt
+    from audioanom import parallel
+    libc = _Libc(1)
+    monkeypatch.setattr(parallel.ctypes, "CDLL", lambda name: libc)
+    assert parallel._init_worker(os.getppid()) is None
+    assert libc.calls == [(-3, 16 << 20), (-1, 64 << 20)]
 
 
 def test_config_file_and_unknown_key(tmp_path, capsys):
