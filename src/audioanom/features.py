@@ -205,22 +205,18 @@ def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
                      out=np.zeros_like(total), where=total != 0.0)
 
 
-@functools.lru_cache(maxsize=None)
 def feature_schema(n_coeffs: int) -> tuple:
-    """The 2 * n_coeffs + 4 feature names, in column order. Built once per
-    n_coeffs and shared, as _mel_bank's layout is."""
+    """The 2 * n_coeffs + 4 feature names, in column order."""
     names = [f"MFCC_mean_{i}" for i in range(1, n_coeffs + 1)]
     names += [f"MFCC_std_{i}" for i in range(1, n_coeffs + 1)]
     names += ["ZCR_mean", "ZCR_std", "Centroid_mean", "Centroid_std"]
     return tuple(names)
 
 
-def extract_clip_features(
-    segment: AudioBuffer,
-    cfg: PipelineConfig = PipelineConfig(),
-) -> FeatureVector:
-    """Aggregate per-frame MFCC/ZCR/centroid to one named, unlabeled clip
-    vector; FeatureSet.of gives a table's rows their ids and labels."""
+def extract_clip_features(segment: AudioBuffer,
+                          cfg: PipelineConfig = PipelineConfig()) -> np.ndarray:
+    """The segment's per-frame MFCC/ZCR/centroid aggregated to its
+    2 * n_coeffs + 4 float64 values, in feature_schema order."""
     coeffs = mfcc(segment, cfg)
 
     fm = frame_signal(segment, cfg.frame_len, cfg.hop)
@@ -228,13 +224,12 @@ def extract_clip_features(
     centroids = spectral_centroid(power_spectrogram(fm, cfg.n_fft),
                                   segment.sample_rate, cfg.n_fft)
 
-    values = np.concatenate([
+    return np.concatenate([
         coeffs.mean(axis=0),
         coeffs.std(axis=0),       # population std
         [zcrs.mean(), zcrs.std(),
          centroids.mean(), centroids.std()],
     ])
-    return FeatureVector(feature_schema(cfg.n_coeffs), values, clip_id="")
 
 
 # --- FeatureSet CSV serialization ---

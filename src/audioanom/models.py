@@ -385,7 +385,8 @@ def train_svm(data: FeatureSet, lam: float, epochs: int,
 
     Binary only; labels map to -1/+1 by class order. Features are
     standardized by train-set mean/std (zero-variance features get std 1);
-    NonFiniteFeature names a column whose mean or std overflows.
+    NonFiniteFeature names a column whose mean or std overflows, and
+    ConfigError a lam so small that the steps overflow w or b.
     """
     X, y = _training_arrays(data)
     if len(data.class_names) != 2:
@@ -411,16 +412,19 @@ def train_svm(data: FeatureSet, lam: float, epochs: int,
     b = 0.0
     rng = np.random.default_rng(seed)
     t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            if y_pm[i] * (w @ Z[i] + b) < 1.0:
-                w = (1.0 - eta * lam) * w + eta * y_pm[i] * Z[i]
-                b = b + eta * y_pm[i]
-            else:
-                w = (1.0 - eta * lam) * w
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            for i in rng.permutation(n):
+                t += 1
+                eta = 1.0 / (lam * t)
+                if y_pm[i] * (w @ Z[i] + b) < 1.0:
+                    w = (1.0 - eta * lam) * w + eta * y_pm[i] * Z[i]
+                    b = b + eta * y_pm[i]
+                else:
+                    w = (1.0 - eta * lam) * w
+    if not (np.isfinite(w).all() and np.isfinite(b)):
+        raise ConfigError(f"svm_lambda {lam} is too small: its SGD steps "
+                          "overflow the SVM's weights")
     return LinearSvm(w, b, mean, std, data.names, data.class_names,
                      lam, epochs, seed)
 

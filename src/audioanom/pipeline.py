@@ -89,18 +89,13 @@ def write_segment_manifest(seg_rows, path) -> None:
     write_manifest(seg_rows, path)
 
 
-def _segment_values(buf: AudioBuffer, cfg: PipelineConfig):
-    """The feature values of one segment, at the configured sample rate."""
-    return extract_clip_features(resample_linear(buf, cfg.sample_rate),
-                                 cfg).values
-
-
 def _row_values(cfg: PipelineConfig, row):
     """The feature values of one (segment) manifest row; SignalTooShort
     names the clip and file of a segment shorter than one frame."""
     seg_id, path, _ = row
     try:
-        return _segment_values(read_wav(path), cfg)
+        return extract_clip_features(
+            resample_linear(read_wav(path), cfg.sample_rate), cfg)
     except SignalTooShort as exc:
         raise SignalTooShort(f"clip {seg_id!r} ({path}): {exc}") from exc
 
@@ -118,13 +113,14 @@ def _run_clip(cfg: PipelineConfig, corpus_dir, seg_dir, i) -> tuple:
     """Clip i through synth, preprocess and extract, writing its corpus and
     segment WAVs. Returns its manifest row, its segment rows and their
     feature values, which equal the file-based stages' because every stage
-    reads the samples its WAVs hold: those write_wav returns."""
+    reads the samples its WAVs hold: those write_wav returns, already at
+    cfg.sample_rate since preprocess_clip resampled them."""
     clip_id, label, buf = render_clip(cfg, i)
     path = os.path.join(corpus_dir, clip_id + ".wav")
     segments = preprocess_clip(write_wav(buf, path), cfg)
     seg_rows, written = _write_segments(clip_id, label, segments, seg_dir)
     return ((clip_id, path, label), seg_rows,
-            [_segment_values(seg, cfg) for seg in written])
+            [extract_clip_features(seg, cfg) for seg in written])
 
 
 def _front_end(cfg: PipelineConfig, corpus_dir, seg_dir) -> tuple:

@@ -18,12 +18,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audioanom.audio_io import AudioBuffer, write_wav
 from audioanom import cli, parallel, pipeline, synthgen
 from audioanom.cli import COMMANDS, CONFIG_ENV, CONFIG_READS, build_parser, main
 from audioanom.config import FIELD_TYPES, PipelineConfig
-from audioanom.errors import IoFailure
+from audioanom.errors import ConfigError, IoFailure
 from audioanom.synthgen import load_manifest
 
 SR = 16000
@@ -736,6 +738,28 @@ def test_bad_input_exit_code_and_message(extracted, small_forest, tmp_path,
     assert ".staging-" not in err
     assert not out.exists()
     assert set(os.listdir(tmp_path)) <= {"input"}   # nor anything beside it
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_svm_lambda_that_overflows_the_weights_is_a_config_error(
+        extracted, tmp_path, command):
+    # step 1/(lambda t) overflows w at 1e-308; a child process shows any
+    # numpy warning on stderr, where only the error line may appear
+    import audioanom
+    _, features = extracted
+    argv = {"train": ["--features", str(features)],
+            "pipeline": ["--n-per-class", "10", "--n-trees", "5"]}[command]
+    out = tmp_path / "out"
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(audioanom.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI, command, *argv, "--svm-lambda",
+         "1e-308", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: svm_lambda 1e-308 ")
+    assert proc.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_preprocess_segment_beyond_memory_is_an_error_line(corpus, tmp_path,
@@ -1529,6 +1553,23 @@ def test_config_values_keep_their_json_type():
     assert (cfg.fmax, cfg.mtry) == (None, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.alpha = 3.0
+
+
+CONFIG_VALUES = st.sampled_from([
+    0, -1, 2**64, 10**400, 1e308, -1e308, 1e-308, 0.5, float("nan"), True,
+    False, None, [], {}, "", "hann", "peak"]) | st.text(max_size=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(st.sampled_from(sorted(FIELD_TYPES)), CONFIG_VALUES,
+                       min_size=1, max_size=3))
+def test_config_from_any_json_object_is_valid_or_a_config_error(d):
+    # any other exception would reach the CLI as a traceback
+    try:
+        cfg = PipelineConfig.from_dict(json.loads(json.dumps(d)))
+    except ConfigError:
+        return
+    assert cfg.validate() is cfg
 
 
 def test_config_precedence(tmp_path, monkeypatch):

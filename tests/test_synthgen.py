@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audioanom.audio_io import AudioBuffer, read_wav, write_wav
 from audioanom.config import (JITTER_SIGMA_HZ_LIMIT, SNR_DB_LIMIT,
                               PipelineConfig)
 from audioanom.dsp import frame_signal
-from audioanom.errors import ConfigError
+from audioanom.errors import ConfigError, MalformedManifest
 from audioanom.features import zero_crossing_rate
 from audioanom.synthgen import generate_corpus, load_manifest, render_clip
 
@@ -102,3 +104,40 @@ def test_anomalous_class_has_more_pitch_instability(tmp_path):
     for _, path, label in rows:
         by_label[label].append(_frame_zcr_variance(read_wav(path)))
     assert np.mean(by_label["anomalous"]) > np.mean(by_label["normal"])
+
+
+VALID_MANIFEST = (b"clip_id,path,label\nc0,c0.wav,normal\n"
+                  b"c1,sub/c1.wav,anomalous\n\"c,2\",\"a b.wav\",normal\n")
+MANIFEST_BYTES = [bytes([c]) for c in b',"\n\r\0/\\ \t\xff\xfe']
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("manifests")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_mutated_manifest_loads_or_is_malformed(manifest_dir, data):
+    # any other exception would reach the CLI as a traceback
+    raw = VALID_MANIFEST
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, len(raw)))
+        edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+        byte = data.draw(st.sampled_from(MANIFEST_BYTES))
+        if edit == "insert":
+            raw = raw[:at] + byte + raw[at:]
+        else:
+            raw = raw[:at] + (byte if edit == "replace" else b"") + \
+                raw[at + 1:]
+    path = manifest_dir / "manifest.csv"
+    path.write_bytes(raw)
+    try:
+        rows = load_manifest(path)
+    except MalformedManifest:
+        return
+    ids = [clip_id for clip_id, _, _ in rows]
+    assert len(set(ids)) == len(ids)
+    for clip_id, file_path, label in rows:
+        assert not any(c in clip_id for c in "\r\n/\0")
+        assert "\0" not in file_path and not any(c in label for c in "\r\n")
