@@ -88,66 +88,45 @@ def _staged(out, one_file=False):
     shutil.rmtree(stage)
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    with _staged(args.out) as out:
-        rows = generate_corpus(cfg, out)
-    print(f"wrote {len(rows)} clips to {args.out}")
-    return 0
+def cmd_synth(cfg, args, out) -> str:
+    rows = generate_corpus(cfg, out)
+    return f"wrote {len(rows)} clips to {args.out}"
 
 
-def cmd_preprocess(args) -> int:
-    cfg = _load_config(args)
-    rows = load_manifest(args.manifest)
-    with _staged(args.out) as out:
-        seg_rows = pl.preprocess_manifest(rows, cfg, out)
-        pl.write_segment_manifest(seg_rows, os.path.join(out, "segments.csv"))
-    print(f"wrote {len(seg_rows)} segments to {args.out}")
-    return 0
+def cmd_preprocess(cfg, args, out) -> str:
+    seg_rows = pl.preprocess_manifest(load_manifest(args.manifest), cfg, out)
+    pl.write_segment_manifest(seg_rows, os.path.join(out, "segments.csv"))
+    return f"wrote {len(seg_rows)} segments to {args.out}"
 
 
-def cmd_extract(args) -> int:
-    cfg = _load_config(args)
-    rows = load_manifest(args.manifest)
-    features = pl.extract_manifest(rows, cfg)
-    with _staged(args.out, one_file=True) as out:
-        save_featureset(features, out)
-    print(f"wrote {len(features.vectors)} feature rows to {args.out}")
-    return 0
+def cmd_extract(cfg, args, out) -> str:
+    features = pl.extract_manifest(load_manifest(args.manifest), cfg)
+    save_featureset(features, out)
+    return f"wrote {len(features.vectors)} feature rows to {args.out}"
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    train = load_featureset(args.features)
-    models = pl.train_models(train, cfg)
-    with _staged(args.out) as out:
-        for name, model in models.items():
-            save_model(model, os.path.join(out, f"model_{name}.json"))
-    print(f"wrote forest/svm/ensemble models to {args.out}")
-    return 0
+def cmd_train(cfg, args, out) -> str:
+    models = pl.train_models(load_featureset(args.features), cfg)
+    for name, model in models.items():
+        save_model(model, os.path.join(out, f"model_{name}.json"))
+    return f"wrote forest/svm/ensemble models to {args.out}"
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
+def cmd_evaluate(cfg, args, out) -> str:
     model = load_model(args.model)
     test = load_featureset(args.test)
     echo = {name: getattr(cfg, name) for name in CONFIG_READS["evaluate"]}
     report = pl.evaluate_model(model, test, echo)
-    with _staged(args.out, one_file=True) as out:
-        emit_report(report, out)
-    print(f"accuracy {report.accuracy:.4f} -> {args.out}")
-    return 0
+    emit_report(report, out)
+    return f"accuracy {report.accuracy:.4f} -> {args.out}"
 
 
-def cmd_pipeline(args) -> int:
-    cfg = _load_config(args)
-    with _staged(args.out) as out:
-        paths = pl.run_pipeline(cfg, out)
-    print(f"pipeline complete; reports in {args.out}")
-    for key in sorted(paths):
-        path = os.path.relpath(paths[key], out)
-        print(f"  {key}: {os.path.join(args.out, path)}")
-    return 0
+def cmd_pipeline(cfg, args, out) -> str:
+    """Its summary lists each report path under args.out, not the stage."""
+    paths = pl.run_pipeline(cfg, out)
+    return "\n".join([f"pipeline complete; reports in {args.out}"] + [
+        f"  {key}: {os.path.join(args.out, os.path.relpath(paths[key], out))}"
+        for key in sorted(paths)])
 
 
 def _write_pgm(path, pixels: np.ndarray) -> None:
@@ -157,8 +136,7 @@ def _write_pgm(path, pixels: np.ndarray) -> None:
         fh.write(pixels.astype(np.uint8).tobytes())
 
 
-def cmd_render(args) -> int:
-    cfg = _load_config(args)
+def cmd_render(cfg, args, out) -> str:
     buf = resample_linear(read_wav(args.clip), cfg.sample_rate)
     if args.kind != "waveform":
         fm = frame_signal(buf, cfg.frame_len, cfg.hop)
@@ -166,45 +144,45 @@ def cmd_render(args) -> int:
             raise SignalTooShort(f"{args.clip}: need at least {cfg.frame_len} "
                                  f"samples for a {args.kind}, got {len(buf)}")
         power = power_spectrogram(fm, cfg.n_fft)
-    with _staged(args.out, one_file=True) as out:
-        if args.kind == "waveform":
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write("time_s,amplitude\n")
-                for i, x in enumerate(buf.samples):
-                    fh.write(f"{i / buf.sample_rate:.6f},{x:.8f}\n")
-        elif args.kind == "spectrum":
-            power_db = 10.0 * np.log10(power.mean(axis=0) + LOG_FLOOR)
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write("freq_hz,power_db\n")
-                for k, p in enumerate(power_db):
-                    fh.write(f"{k * cfg.sample_rate / cfg.n_fft:.4f},"
-                             f"{p:.4f}\n")
-        else:  # spectrogram
-            db = np.clip(10.0 * np.log10(power + LOG_FLOOR),
-                         SPECTROGRAM_DB_MIN, SPECTROGRAM_DB_MAX)
-            scaled = ((db - SPECTROGRAM_DB_MIN)
-                      / (SPECTROGRAM_DB_MAX - SPECTROGRAM_DB_MIN))
-            pixels = np.round(scaled * 255.0)
-            # rows = frequency with bin 0 at the bottom; columns = time
-            _write_pgm(out, pixels.T[::-1, :])
-    print(f"wrote {args.kind} to {args.out}")
-    return 0
+    if args.kind == "waveform":
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("time_s,amplitude\n")
+            for i, x in enumerate(buf.samples):
+                fh.write(f"{i / buf.sample_rate:.6f},{x:.8f}\n")
+    elif args.kind == "spectrum":
+        power_db = 10.0 * np.log10(power.mean(axis=0) + LOG_FLOOR)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("freq_hz,power_db\n")
+            for k, p in enumerate(power_db):
+                fh.write(f"{k * cfg.sample_rate / cfg.n_fft:.4f},{p:.4f}\n")
+    else:  # spectrogram
+        db = np.clip(10.0 * np.log10(power + LOG_FLOOR),
+                     SPECTROGRAM_DB_MIN, SPECTROGRAM_DB_MAX)
+        scaled = ((db - SPECTROGRAM_DB_MIN)
+                  / (SPECTROGRAM_DB_MAX - SPECTROGRAM_DB_MIN))
+        pixels = np.round(scaled * 255.0)
+        # rows = frequency with bin 0 at the bottom; columns = time
+        _write_pgm(out, pixels.T[::-1, :])
+    return f"wrote {args.kind} to {args.out}"
 
 
-# command -> (function, help line, its own flags); each own flag is required
+# command -> (function, help line, its own flags, whether --out is one file);
+# each own flag is required. main loads the config, stages --out through
+# _staged, calls function(cfg, args, staged out) and prints what it returns.
 COMMANDS = {
-    "synth": (cmd_synth, "generate the synthetic corpus", ("--out",)),
+    "synth": (cmd_synth, "generate the synthetic corpus", ("--out",), False),
     "preprocess": (cmd_preprocess, "denoise, normalize, segment",
-                   ("--manifest", "--out")),
+                   ("--manifest", "--out"), False),
     "extract": (cmd_extract, "extract clip features to CSV",
-                ("--manifest", "--out")),
+                ("--manifest", "--out"), True),
     "train": (cmd_train, "train forest, SVM, and ensemble",
-              ("--features", "--out")),
+              ("--features", "--out"), False),
     "evaluate": (cmd_evaluate, "evaluate a model on a feature CSV",
-                 ("--model", "--test", "--out")),
-    "pipeline": (cmd_pipeline, "run the whole chain end to end", ("--out",)),
+                 ("--model", "--test", "--out"), True),
+    "pipeline": (cmd_pipeline, "run the whole chain end to end", ("--out",),
+                 False),
     "render": (cmd_render, "emit waveform/spectrum CSV or spectrogram PGM",
-               ("--clip", "--kind", "--out")),
+               ("--clip", "--kind", "--out"), True),
 }
 RENDER_KINDS = ("waveform", "spectrogram", "spectrum")
 # command -> the PipelineConfig fields its stages read, each a flag of it;
@@ -230,7 +208,7 @@ def _command_parser() -> argparse.ArgumentParser:
     """Reads only the command name; main builds it for --help and for a
     first argument that is not a command."""
     listing = "\n".join(f"  {name:<11} {help_line}"
-                        for name, (_, help_line, _) in COMMANDS.items())
+                        for name, (_, help_line, *_) in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="audioanom", usage="audioanom <command> [flags]",
         description="Audio anomaly detection pipeline: synthesize, "
@@ -245,7 +223,7 @@ def _command_parser() -> argparse.ArgumentParser:
 
 def build_parser(command: str) -> argparse.ArgumentParser:
     """The parser of one command: its own flags and its config flags."""
-    _, help_line, flags = COMMANDS[command]
+    _, help_line, flags, _ = COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"audioanom {command}",
                                      description=help_line)
     for flag in flags:
@@ -266,8 +244,13 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS \
         else _command_parser().parse_args(argv[:1]).command
     args = build_parser(command).parse_args(argv[1:])
+    run, _, _, one_file = COMMANDS[command]
     try:
-        return COMMANDS[command][0](args)
+        cfg = _load_config(args)
+        with _staged(args.out, one_file) as out:
+            message = run(cfg, args, out)
+        print(message)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -261,9 +261,13 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
 
 
 def _training_arrays(data: FeatureSet) -> tuple:
+    """(X, y) of a non-empty table; NonFiniteFeature names the clip and
+    column of a NaN or infinity in it."""
     if not data.vectors:
         raise EmptyDataset("no training instances")
-    return data.matrix(), data.labels()
+    X = data.matrix()
+    require_finite(X, data.vectors)
+    return X, data.labels()
 
 
 def _normalized(importances: np.ndarray) -> np.ndarray:
@@ -385,7 +389,7 @@ def train_svm(data: FeatureSet, lam: float, epochs: int,
 
     Binary only; labels map to -1/+1 by class order. Features are
     standardized by train-set mean/std (zero-variance features get std 1);
-    NonFiniteFeature names a column whose mean or std overflows, and
+    NonFiniteFeature names a finite column whose mean or std overflows, and
     ConfigError a lam so small that the steps overflow w or b.
     """
     X, y = _training_arrays(data)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audioanom.audio_io import AudioBuffer, read_wav, resample_linear, write_wav
-from audioanom.errors import (AudioAnomError, EmptyAudio, MalformedContainer,
-                              UnsupportedEncoding)
+from audioanom.errors import (AudioAnomError, EmptyAudio, IoFailure,
+                              MalformedContainer, UnsupportedEncoding)
 
 
 def _wav_bytes(fmt_code, channels, rate, bits, payload, magic=b"RIFF"):
@@ -186,3 +186,11 @@ def test_read_wav_mutated_bytes_raise_only_named_errors(wav_dir, data):
         return
     assert len(buf) > 0 and buf.sample_rate > 0
     assert np.all(np.isfinite(buf.samples))
+
+
+def test_write_under_a_file_is_an_io_failure(tmp_path):
+    (tmp_path / "file.txt").write_text("mine\n")
+    path = tmp_path / "file.txt" / "clip.wav"
+    with pytest.raises(IoFailure, match=r"cannot write .*clip\.wav: "
+                       r"\[Errno 20\] Not a directory"):
+        write_wav(AudioBuffer(np.zeros(4), 8000), path)

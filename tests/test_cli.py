@@ -427,6 +427,10 @@ def _in_ensemble_member_1(mutate):
      ["tree 1 node 2", "[0.5, 0.25, 0.25], not 2 values"]),
     (_tree_1(SPLIT, LEAF_A, {"proba": [0.5, 0.4]}),
      ["tree 1 node 2", "[0.5, 0.4], not probabilities summing to 1"]),
+    (_tree_1(SPLIT, LEAF_A, {"proba": [True, False]}),
+     ["tree 1 node 2", "[True, False], not probabilities summing to 1"]),
+    (_tree_1(SPLIT, LEAF_A, {"proba": ["1", 0]}),
+     ["tree 1 node 2", "['1', 0], not probabilities summing to 1"]),
     (lambda forest: {**forest, "trees": []}, ["no trees"]),
     (_tree_1(), ["tree 1", "no nodes"]),
     (_ensemble(), ["no members"]),
@@ -435,7 +439,8 @@ def _in_ensemble_member_1(mutate):
     (_in_ensemble_member_1(_tree_1({**SPLIT, "left": 0}, LEAF_A, LEAF_B)),
      ["ensemble member 1: tree 1 node 0", "children 0 and 2"]),
 ], ids=["node_keys", "feature_range", "left_cycle", "right_cycle",
-        "child_range", "leaf_length", "leaf_sum", "no_trees", "no_nodes",
+        "child_range", "leaf_length", "leaf_sum", "leaf_bools",
+        "leaf_strings", "no_trees", "no_nodes",
         "no_members", "zero_weights", "infinite_weight_sum",
         "ensemble_member"])
 def test_evaluate_malformed_model_structure_names_file(

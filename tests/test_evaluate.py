@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from audioanom.errors import ClassTooSmall, EmptyMatrix, LabelOutOfRange, LengthMismatch
+from audioanom.errors import (ClassTooSmall, EmptyMatrix, IoFailure,
+                              LabelOutOfRange, LengthMismatch)
 from audioanom.evaluate import (
     ConfusionMatrix,
     confusion_matrix,
@@ -246,6 +247,14 @@ def test_report_deterministic_bytes(tmp_path):
     emit_report(report, p1)
     emit_report(report, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_emit_report_under_a_file_is_an_io_failure(tmp_path):
+    (tmp_path / "file.txt").write_text("mine\n")
+    path = tmp_path / "file.txt" / "report.json"
+    with pytest.raises(IoFailure, match=r"cannot write .*report\.json: "
+                       r"\[Errno 20\] Not a directory"):
+        emit_report(_sample_report(), path)
 
 
 def test_report_four_decimal_formatting():

@@ -449,6 +449,13 @@ def test_featureset_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(parsed.values, original.values)
 
 
+def test_featureset_csv_skips_blank_lines():
+    fs = featureset_from_csv("clip_id,label,a\nc0,normal,1.5\n\n"
+                             "c1,anomalous,2.5\n\n")
+    assert [v.clip_id for v in fs.vectors] == ["c0", "c1"]
+    np.testing.assert_array_equal(fs.matrix(), [[1.5], [2.5]])
+
+
 # csv.writer leaves a lone "\r" unquoted when the line terminator is "\n",
 # and csv.reader then refuses the line; these tests are about values, ids and
 # labels, not about that framing.

@@ -1,12 +1,16 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 
 import pytest
 
 from make_golden_digests import GOLDEN, SEEDS, pipeline_digests, versions
+
+WORKFLOW = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), ".github",
+                        "workflows", "tier1.yml")
 
 # Writes the digests of the seed-42 run under argv[1] to the file argv[2].
 _DIGESTS_42 = """
@@ -24,6 +28,17 @@ def _golden() -> dict:
         f"digests made with {golden['versions']}, this is {versions()}; "
         f"rerun tests/make_golden_digests.py on the parent commit")
     return golden["digests"]
+
+
+def test_ci_installs_the_versions_the_digests_were_made_with():
+    # _golden() refuses any other Python or numpy, so CI pins these two
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(GOLDEN, encoding="utf-8") as fh:
+        made_with = json.load(fh)["versions"]
+    assert re.findall(r'python-version: *"([^"]*)"', text) \
+        == [made_with["python"]]
+    assert re.findall(r"\bnumpy==(\S+)", text) == [made_with["numpy"]]
 
 
 def _moved(seed, want: dict, got: dict) -> list:

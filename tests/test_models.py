@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audioanom import models, parallel
-from audioanom.errors import (ConfigError, EmptyDataset, MalformedModel,
-                              NonFiniteFeature, NotBinary, SchemaMismatch)
+from audioanom.errors import (ConfigError, EmptyClass, EmptyDataset,
+                              MalformedModel, NonFiniteFeature, NotBinary,
+                              SchemaMismatch)
 from audioanom.features import FeatureSet, FeatureVector
 from audioanom.models import (
     EnsembleModel,
@@ -335,6 +336,25 @@ def test_svm_zero_variance_feature_gets_unit_std():
     assert svm.std[1] == 1.0
 
 
+def test_svm_on_a_one_class_subset_names_the_empty_class():
+    # subset keeps the parent table's class names
+    data = make_set([[0.0], [1.0], [2.0]], ["A", "B", "A"]).subset([0, 2])
+    assert data.class_names == ("A", "B")
+    with pytest.raises(EmptyClass, match="class 'B' has no instances"):
+        train_svm(data, lam=1e-3, epochs=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("train", [
+    functools.partial(train_forest, n_trees=2, mtry=1), train_tree,
+    functools.partial(train_svm, lam=1e-3, epochs=1)],
+    ids=["forest", "tree", "svm"])
+def test_trainers_refuse_non_finite_features(train, bad):
+    data = make_set([[0.0, 1.0], [1.0, bad], [2.0, 0.0]], ["A", "B", "A"])
+    with pytest.raises(NonFiniteFeature, match="'c1'.*'f1'"):
+        train(data)
+
+
 def test_svm_objective_not_worse_than_zero_weights():
     rng = np.random.default_rng(37)
     X = rng.normal(size=(60, 3))
@@ -622,6 +642,31 @@ def test_schema_mismatch_rejected():
     bad = FeatureVector(("other",), np.array([0.0]), "c")
     with pytest.raises(SchemaMismatch):
         predict_proba(forest, bad)
+
+
+def test_schema_prefix_names_the_feature_counts():
+    data = make_set([[0.0, 1.0], [1.0, 0.0]], ["A", "B"])
+    forest = train_forest(data, n_trees=1, mtry=1, seed=0)
+    short = make_set([[0.0], [1.0]], ["A", "B"])
+    with pytest.raises(SchemaMismatch,
+                       match="data has 1 features, model expects 2"):
+        predict_proba(forest, short)
+
+
+def test_forest_integer_leaves_load_as_floats():
+    data = make_set([[0.0], [1.0], [2.0], [3.0]], ["A", "A", "B", "B"])
+    doc = train_forest(data, n_trees=3, mtry=1, seed=0).to_dict()
+    ints = json.loads(json.dumps(doc))
+    leaves = [node for tree in ints["trees"] for node in tree["nodes"]
+              if "proba" in node]
+    assert {tuple(leaf["proba"]) for leaf in leaves} \
+        == {(1.0, 0.0), (0.0, 1.0)}
+    for leaf in leaves:
+        leaf["proba"] = [int(p) for p in leaf["proba"]]
+    assert '"proba": [1, 0]' in json.dumps(ints)
+    np.testing.assert_array_equal(
+        predict_proba(model_from_dict(ints), data),
+        predict_proba(model_from_dict(doc), data))
 
 
 # --- feature_importance ---
