@@ -155,6 +155,8 @@ def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate == buffer.sample_rate:
         return buffer
     n_in = len(buffer)
+    if n_in == 0:
+        raise EmptyAudio("refusing to resample an empty buffer")
     n_out = max(1, int(round(n_in * target_rate / buffer.sample_rate)))
     # output index i maps to input position i * (in_rate / out_rate)
     positions = np.arange(n_out) * (buffer.sample_rate / target_rate)

@@ -17,8 +17,9 @@ class ConfigError(AudioAnomError):
 
 class MalformedManifest(AudioAnomError):
     """Manifest CSV that is not UTF-8 or not CSV, is empty, has a bad
-    header, a row that is not clip_id,path,label or a clip id or label
-    holding a line break."""
+    header or a row that is not clip_id,path,label, or has a clip id or
+    label holding a line break, a clip id holding a path separator or NUL,
+    a clip id that repeats, or a path holding NUL."""
 
 
 # --- audio_io ---
@@ -39,7 +40,7 @@ class IoFailure(AudioAnomError):
     """Underlying file read/write failed."""
 
 
-# --- dsp_core ---
+# --- dsp ---
 
 class NFftNotPowerOfTwo(ConfigError):
     """Transform size must be a power of two."""
@@ -105,7 +106,7 @@ class MalformedModel(AudioAnomError):
     have no positive, finite sum."""
 
 
-# --- eval ---
+# --- evaluate ---
 
 class ClassTooSmall(AudioAnomError):
     """A class has too few instances for the requested split."""

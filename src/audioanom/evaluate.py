@@ -161,9 +161,10 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    """JSON-ready dict; metric values rendered to 4 decimal places."""
-    return {
+def emit_report(report: EvaluationReport, path) -> None:
+    """Write the report as stable-key-order JSON so files are diffable;
+    metric values rendered to 4 decimal places."""
+    doc = {
         "format_version": REPORT_FORMAT_VERSION,
         "seed": report.seed,
         "class_names": list(report.confusion.class_names),
@@ -182,9 +183,19 @@ def report_to_dict(report: EvaluationReport) -> dict:
         ] or None,
         "config_echo": report.config_echo,
     }
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            # streamed, not json.dumps and one write: bounds peak memory
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def report_from_dict(d: dict) -> EvaluationReport:
+def load_report(path) -> EvaluationReport:
+    """Parse emit_report's JSON back into a report."""
+    with open(path, "r", encoding="utf-8") as fh:
+        d = json.load(fh)
     names = tuple(d["class_names"])
     cm = ConfusionMatrix(np.asarray(d["confusion_matrix"], dtype=np.int64),
                          names)
@@ -202,19 +213,3 @@ def report_from_dict(d: dict) -> EvaluationReport:
         config_echo=dict(d.get("config_echo", {})),
         seed=int(d["seed"]),
     )
-
-
-def emit_report(report: EvaluationReport, path) -> None:
-    """Write the report as stable-key-order JSON so files are diffable."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            # streamed, not json.dumps and one write: bounds peak memory
-            json.dump(report_to_dict(report), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def load_report(path) -> EvaluationReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))

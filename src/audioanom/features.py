@@ -232,39 +232,38 @@ def extract_clip_features(segment: AudioBuffer,
     ])
 
 
-# --- FeatureSet CSV serialization ---
+# --- FeatureSet CSV files ---
 
-def _write_featureset(fs: FeatureSet, fh) -> None:
-    """Write fs to the text file fh as a CSV with header
+def save_featureset(fs: FeatureSet, path) -> None:
+    """Stream fs to path row by row as a CSV with header
     clip_id,label,<features>; full float precision."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["clip_id", "label", *fs.names])
-    for v in fs.vectors:
-        writer.writerow([v.clip_id, v.label if v.label is not None else "",
-                         *[repr(float(x)) for x in v.values]])
+    with open(path, "w", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["clip_id", "label", *fs.names])
+        for v in fs.vectors:
+            writer.writerow([v.clip_id, v.label if v.label is not None else "",
+                             *[repr(float(x)) for x in v.values]])
 
 
-def featureset_to_csv(fs: FeatureSet) -> str:
-    """_write_featureset's CSV as a string."""
-    out = io.StringIO()
-    _write_featureset(fs, out)
-    return out.getvalue()
-
-
-def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
-    """Parse featureset_to_csv's format; MalformedFeatureFile names `source`,
+def load_featureset(path) -> FeatureSet:
+    """Parse save_featureset's format; MalformedFeatureFile names the path,
     the clip and the column of a fault."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedFeatureFile(f"{path}: not UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
         lines = list(reader)
     except csv.Error as exc:   # such as a field beyond csv's size limit
         raise MalformedFeatureFile(
-            f"{source}: line {reader.line_num}: {exc}") from None
+            f"{path}: line {reader.line_num}: {exc}") from None
     if not lines:
-        raise MalformedFeatureFile(f"{source}: empty file, no header")
+        raise MalformedFeatureFile(f"{path}: empty file, no header")
     header = lines[0]
     if header[:2] != ["clip_id", "label"]:
-        raise MalformedFeatureFile(f"{source}: header must start with "
+        raise MalformedFeatureFile(f"{path}: header must start with "
                                    f"clip_id,label, got {header[:2]}")
     names = tuple(header[2:])
     rows = []
@@ -273,18 +272,18 @@ def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
             continue
         clip_id = row[0]
         if len(row) < len(header):
-            raise MalformedFeatureFile(f"{source}: clip {clip_id!r} has no "
+            raise MalformedFeatureFile(f"{path}: clip {clip_id!r} has no "
                                        f"value in column {header[len(row)]!r}")
         if len(row) > len(header):
             raise MalformedFeatureFile(
-                f"{source}: clip {clip_id!r} has {len(row) - 2} values for "
+                f"{path}: clip {clip_id!r} has {len(row) - 2} values for "
                 f"{len(names)} feature columns")
         rows.append(row)
     try:
         # numpy converts each string with Python's float
         X = np.array([row[2:] for row in rows], dtype=np.float64)
     except ValueError:
-        X = np.array([[_feature_value(x, row[0], name, source)
+        X = np.array([[_feature_value(x, row[0], name, path)
                        for x, name in zip(row[2:], names)] for row in rows])
     X = X.reshape(len(rows), len(names))
     fs = FeatureSet.of(names, X, [row[0] for row in rows],
@@ -293,24 +292,9 @@ def featureset_from_csv(text: str, source: str = "feature CSV") -> FeatureSet:
     return fs
 
 
-def _feature_value(x: str, clip_id: str, name: str, source: str) -> float:
+def _feature_value(x: str, clip_id: str, name: str, path) -> float:
     try:
         return float(x)
     except ValueError:
-        raise MalformedFeatureFile(f"{source}: clip {clip_id!r}: {x!r} in "
+        raise MalformedFeatureFile(f"{path}: clip {clip_id!r}: {x!r} in "
                                    f"column {name!r} is not a number") from None
-
-
-def save_featureset(fs: FeatureSet, path) -> None:
-    """Stream fs to path row by row, as featureset_to_csv gives it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_featureset(fs, fh)
-
-
-def load_featureset(path) -> FeatureSet:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MalformedFeatureFile(f"{path}: not UTF-8: {exc}") from None
-    return featureset_from_csv(text, str(path))

@@ -223,10 +223,15 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
     nodes: list = []
     importances = np.zeros(n_features)
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    # grown from a stack, not by recursion, so that no depth reaches
+    # Python's recursion limit: pre-order, left child first, a node's id
+    # being its index in nodes
+    stack = [(np.arange(n_total), 0, None, None)]
+    while stack:
+        idx, depth, parent, side = stack.pop()
+        if parent is not None:
+            parent[side] = len(nodes)
         counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-        node_id = len(nodes)
-        nodes.append(None)  # reserve slot so children get higher ids
 
         # a split leaves rows on both sides, so no node is empty
         p = counts / counts.sum()
@@ -242,20 +247,19 @@ def _build_tree(X: np.ndarray, y: np.ndarray, n_classes: int,
                                min_samples_leaf, parent_gini)
 
         if best is None:
-            nodes[node_id] = {"proba": p.tolist()}
-            return node_id
+            nodes.append({"proba": p.tolist()})
+            continue
 
         column, threshold, gain = best
         feature = int(candidates[column])
         importances[feature] += (len(idx) / n_total) * gain
         mask = X[idx, feature] <= threshold
-        left = grow(idx[mask], depth + 1)
-        right = grow(idx[~mask], depth + 1)
-        nodes[node_id] = {"feature": feature, "threshold": threshold,
-                          "left": left, "right": right}
-        return node_id
+        node = {"feature": feature, "threshold": threshold,
+                "left": None, "right": None}
+        nodes.append(node)
+        stack.append((idx[~mask], depth + 1, node, "right"))
+        stack.append((idx[mask], depth + 1, node, "left"))
 
-    grow(np.arange(n_total), 0)
     return ({"nodes": nodes, "n_classes": n_classes, "max_depth": max_depth,
              "min_samples_leaf": min_samples_leaf}, importances)
 

@@ -144,11 +144,12 @@ def n_segments(n_samples: int, seg_len: int, pad_policy: str) -> int:
 def segment(buffer: AudioBuffer, seg_len_s: float,
             pad_policy: str) -> SegmentSet:
     """Cut into consecutive non-overlapping fixed-length segments."""
-    if seg_len_s <= 0:
-        raise ValueError(f"seg_len_s must be positive, got {seg_len_s}")
+    seg_len = int(round(seg_len_s * buffer.sample_rate))
+    if seg_len < 1:
+        raise ValueError(f"seg_len_s must be at least one sample, got "
+                         f"{seg_len_s} at {buffer.sample_rate} Hz")
     if pad_policy not in PAD_POLICIES:
         raise ValueError(f"unknown pad policy {pad_policy!r}")
-    seg_len = int(round(seg_len_s * buffer.sample_rate))
     x = buffer.samples
     full = len(x) // seg_len
     segs = [AudioBuffer(x[i * seg_len:(i + 1) * seg_len], buffer.sample_rate)

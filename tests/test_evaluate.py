@@ -14,8 +14,6 @@ from audioanom.evaluate import (
     emit_report,
     load_report,
     metrics,
-    report_from_dict,
-    report_to_dict,
     stratified_split,
 )
 from audioanom.features import FeatureSet, FeatureVector
@@ -257,12 +255,14 @@ def test_emit_report_under_a_file_is_an_io_failure(tmp_path):
         emit_report(_sample_report(), path)
 
 
-def test_report_four_decimal_formatting():
+def test_report_four_decimal_formatting(tmp_path):
     report = _sample_report()
     report.accuracy = 0.968
-    doc = report_to_dict(report)
+    path = tmp_path / "report.json"
+    emit_report(report, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["accuracy"] == "0.9680"
-    assert report_from_dict(doc).accuracy == pytest.approx(0.968)
+    assert load_report(path).accuracy == pytest.approx(0.968)
 
 
 @st.composite
@@ -284,7 +284,14 @@ def reports(draw):
                    seed=draw(st.integers(0, 2**64)))
 
 
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reports")
+
+
 @given(reports())
-def test_report_json_round_trip(report):
-    d = report_to_dict(report)
-    assert report_to_dict(report_from_dict(json.loads(json.dumps(d)))) == d
+def test_report_json_round_trip(report_dir, report):
+    path, path2 = report_dir / "report.json", report_dir / "report2.json"
+    emit_report(report, path)
+    emit_report(load_report(path), path2)
+    assert path.read_bytes() == path2.read_bytes()

@@ -1,5 +1,4 @@
 import csv
-import io
 
 import numpy as np
 import pytest
@@ -16,11 +15,10 @@ from audioanom.errors import (DegenerateFilter, FrameTooShort,
 from audioanom.features import (
     extract_clip_features,
     feature_schema,
-    featureset_from_csv,
-    featureset_to_csv,
     FeatureSet,
     FeatureVector,
     hz_to_mel,
+    load_featureset,
     mel_filterbank,
     mel_to_hz,
     mfcc,
@@ -436,11 +434,15 @@ def test_featureset_csv_round_trip(tmp_path):
         vectors.append(FeatureVector(names, rng.normal(size=30),
                                      clip_id=f"clip{i}", label=label))
     fs = FeatureSet(vectors, names, ("anomalous", "normal"))
-    text = featureset_to_csv(fs)
-    back = featureset_from_csv(text)
-    # save_featureset streams the same bytes to a file
-    save_featureset(fs, tmp_path / "fs.csv")
-    assert (tmp_path / "fs.csv").read_bytes() == text.encode("utf-8")
+    path = tmp_path / "fs.csv"
+    save_featureset(fs, path)
+    back = load_featureset(path)
+    # one header line, then one line per clip of full-precision values
+    text = "".join(
+        [",".join(["clip_id", "label", *names]) + "\n"]
+        + [",".join([v.clip_id, v.label, *map(repr, v.values.tolist())])
+           + "\n" for v in vectors])
+    assert path.read_bytes() == text.encode("utf-8")
     assert back.names == names
     assert back.class_names == ("anomalous", "normal")
     for original, parsed in zip(fs.vectors, back.vectors):
@@ -449,9 +451,11 @@ def test_featureset_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(parsed.values, original.values)
 
 
-def test_featureset_csv_skips_blank_lines():
-    fs = featureset_from_csv("clip_id,label,a\nc0,normal,1.5\n\n"
-                             "c1,anomalous,2.5\n\n")
+def test_featureset_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "fs.csv"
+    path.write_bytes(b"clip_id,label,a\nc0,normal,1.5\n\n"
+                     b"c1,anomalous,2.5\n\n")
+    fs = load_featureset(path)
     assert [v.clip_id for v in fs.vectors] == ["c0", "c1"]
     np.testing.assert_array_equal(fs.matrix(), [[1.5], [2.5]])
 
@@ -463,9 +467,14 @@ CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                                  blacklist_characters="\r"), max_size=8)
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("feature_csvs")
+
+
 @settings(deadline=None)
 @given(st.data())
-def test_featureset_csv_round_trip_is_bit_identical(data):
+def test_featureset_csv_round_trip_is_bit_identical(csv_dir, data):
     n_features = data.draw(st.integers(0, 4))
     names = tuple(data.draw(st.lists(CSV_TEXT, min_size=n_features,
                                      max_size=n_features)))
@@ -477,8 +486,9 @@ def test_featureset_csv_round_trip_is_bit_identical(data):
                              clip_id=clip_id, label=label)
                for clip_id, label, values in rows]
     labels = tuple(sorted({label for _, label, _ in rows} - {None}))
-    back = featureset_from_csv(featureset_to_csv(
-        FeatureSet(vectors, names, labels)))
+    path = csv_dir / "fs.csv"
+    save_featureset(FeatureSet(vectors, names, labels), path)
+    back = load_featureset(path)
     assert back.names == names
     assert back.class_names == labels
     assert [(v.clip_id, v.label) for v in back.vectors] == \
@@ -503,38 +513,41 @@ CELL_TOKENS = st.one_of(
 )
 
 
-def check_cells_parse_like_float(cells, n_cols):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["clip_id", "label", *[f"f{j}" for j in range(n_cols)]])
-    writer.writerows([f"c{i}", "normal", *row] for i, row in enumerate(cells))
+def check_cells_parse_like_float(path, cells, n_cols):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["clip_id", "label",
+                         *[f"f{j}" for j in range(n_cols)]])
+        writer.writerows([f"c{i}", "normal", *row]
+                         for i, row in enumerate(cells))
     expected, bad = float_cells(cells, n_cols)
     if bad is not None:
         i, j = bad
         with pytest.raises(MalformedFeatureFile) as exc:
-            featureset_from_csv(out.getvalue(), "t.csv")
-        assert str(exc.value) == (f"t.csv: clip 'c{i}': {cells[i][j]!r} in "
+            load_featureset(path)
+        assert str(exc.value) == (f"{path}: clip 'c{i}': {cells[i][j]!r} in "
                                   f"column 'f{j}' is not a number")
     elif not np.isfinite(expected).all():
         i, j = np.argwhere(~np.isfinite(expected))[0]
         with pytest.raises(NonFiniteFeature) as exc:
-            featureset_from_csv(out.getvalue(), "t.csv")
+            load_featureset(path)
         assert str(exc.value).startswith(f"clip 'c{i}': value ")
         assert str(exc.value).endswith(f" in column 'f{j}'")
     else:
-        fs = featureset_from_csv(out.getvalue(), "t.csv")
+        fs = load_featureset(path)
         assert fs.matrix().tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("token", EDGE_TOKENS)
-def test_feature_csv_edge_token_parses_like_float(token):
-    check_cells_parse_like_float([["0.5", token], [token, "1"]], 2)
+def test_feature_csv_edge_token_parses_like_float(csv_dir, token):
+    check_cells_parse_like_float(csv_dir / "t.csv",
+                                 [["0.5", token], [token, "1"]], 2)
 
 
 @settings(deadline=None)
 @given(st.data())
-def test_feature_csv_cells_parse_like_float(data):
+def test_feature_csv_cells_parse_like_float(csv_dir, data):
     n_cols = data.draw(st.integers(0, 3))
     cells = data.draw(st.lists(st.lists(CELL_TOKENS, min_size=n_cols,
                                         max_size=n_cols), max_size=4))
-    check_cells_parse_like_float(cells, n_cols)
+    check_cells_parse_like_float(csv_dir / "t.csv", cells, n_cols)

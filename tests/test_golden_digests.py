@@ -39,6 +39,9 @@ def test_ci_installs_the_versions_the_digests_were_made_with():
     assert re.findall(r'python-version: *"([^"]*)"', text) \
         == [made_with["python"]]
     assert re.findall(r"\bnumpy==(\S+)", text) == [made_with["numpy"]]
+    # the job has its own time limit: a hung worker pool would otherwise
+    # hold the runner for GitHub's 360-minute default
+    assert re.findall(r"^    timeout-minutes: *(\d+)$", text, re.M) == ["15"]
 
 
 def _moved(seed, want: dict, got: dict) -> list:

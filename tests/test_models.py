@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +79,23 @@ def test_tree_conflicting_labels_leaf_frequencies():
 def test_tree_empty_dataset():
     with pytest.raises(EmptyDataset):
         train_tree(FeatureSet([], ("f0",), ("A", "B")))
+
+
+def test_tree_deeper_than_the_recursion_limit():
+    # alternating labels on one sorted feature leave one split per level
+    n = 3000
+    labels = ["normal" if i % 2 == 0 else "anomalous" for i in range(n)]
+    data = make_set([np.arange(n, dtype=float)], labels,
+                    ("anomalous", "normal"))
+    tree = train_tree(data)
+    nodes = tree.trees[0]["nodes"]
+    depth = [0] * len(nodes)
+    for i, node in enumerate(nodes):   # children have higher ids
+        if "proba" not in node:
+            depth[node["left"]] = depth[node["right"]] = depth[i] + 1
+    assert max(depth) > sys.getrecursionlimit()
+    predicted = tree.predict_proba_values(data.matrix()).argmax(axis=1)
+    np.testing.assert_array_equal(predicted, data.labels())
 
 
 def test_tree_leaf_probabilities_sum_to_one():
