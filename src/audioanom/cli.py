@@ -20,11 +20,12 @@ import numpy as np
 
 from . import pipeline as pl
 from .audio_io import read_wav, resample_linear
-from .config import FIELD_TYPES, PipelineConfig, read_config_file
+from .config import FIELD_TYPES, PipelineConfig
 from .dsp import LOG_FLOOR, frame_signal, power_spectrogram
 from .errors import AudioAnomError, ConfigError, SignalTooShort
 from .evaluate import emit_report
 from .features import load_featureset, save_featureset
+from .files import read_json, write_csv
 from .models import load_model, save_model
 from .synthgen import generate_corpus, load_manifest
 
@@ -36,7 +37,9 @@ SPECTROGRAM_DB_MAX = 0.0
 
 def _load_config(args) -> PipelineConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
-    values = read_config_file(path) if path else {}
+    values = read_json(path, ConfigError) if path else {}
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     for name in FIELD_TYPES:
         value = getattr(args, f"cfg_{name}", None)
         if value is not None:
@@ -145,16 +148,14 @@ def cmd_render(cfg, args, out) -> str:
                                  f"samples for a {args.kind}, got {len(buf)}")
         power = power_spectrogram(fm, cfg.n_fft)
     if args.kind == "waveform":
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("time_s,amplitude\n")
-            for i, x in enumerate(buf.samples):
-                fh.write(f"{i / buf.sample_rate:.6f},{x:.8f}\n")
+        write_csv(out, ["time_s", "amplitude"],
+                  ((f"{i / buf.sample_rate:.6f}", f"{x:.8f}")
+                   for i, x in enumerate(buf.samples)))
     elif args.kind == "spectrum":
         power_db = 10.0 * np.log10(power.mean(axis=0) + LOG_FLOOR)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("freq_hz,power_db\n")
-            for k, p in enumerate(power_db):
-                fh.write(f"{k * cfg.sample_rate / cfg.n_fft:.4f},{p:.4f}\n")
+        write_csv(out, ["freq_hz", "power_db"],
+                  ((f"{k * cfg.sample_rate / cfg.n_fft:.4f}", f"{p:.4f}")
+                   for k, p in enumerate(power_db)))
     else:  # spectrogram
         db = np.clip(10.0 * np.log10(power + LOG_FLOOR),
                      SPECTROGRAM_DB_MIN, SPECTROGRAM_DB_MAX)

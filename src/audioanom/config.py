@@ -10,7 +10,6 @@ typo or an impossible setting fails before any audio is touched.
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
@@ -165,16 +164,3 @@ FIELD_TYPES = {name: ((get_args(hint) or (hint,))[0], bool(get_args(hint)))
 _TYPE_NAMES = {int: "a finite integer", float: "a finite number",
                str: "a string"}
 _FLOAT_MAX = sys.float_info.max
-
-
-def read_config_file(path) -> dict:
-    """A JSON config file's key/value object, for `PipelineConfig.from_dict`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        # not UTF-8, not JSON, nested too deep, or an integer too long
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return d

@@ -118,3 +118,9 @@ class LabelOutOfRange(AudioAnomError):
 
 class EmptyMatrix(AudioAnomError):
     """Confusion matrix holds zero instances."""
+
+
+class MalformedReport(AudioAnomError):
+    """Report JSON that is not UTF-8 JSON, or that lacks a key of the v1
+    report or holds a value of the wrong type there, such as an accuracy
+    that is not a number."""

@@ -8,14 +8,15 @@ macro averages.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ClassTooSmall, EmptyMatrix, IoFailure, LabelOutOfRange, LengthMismatch
+from .errors import (ClassTooSmall, EmptyMatrix, IoFailure, LabelOutOfRange,
+                     LengthMismatch, MalformedReport)
 from .features import FeatureSet
+from .files import read_json, write_json
 from .models import predict_proba
 
 REPORT_FORMAT_VERSION = 1
@@ -184,32 +185,33 @@ def emit_report(report: EvaluationReport, path) -> None:
         "config_echo": report.config_echo,
     }
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            # streamed, not json.dumps and one write: bounds peak memory
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(doc, path)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def load_report(path) -> EvaluationReport:
-    """Parse emit_report's JSON back into a report."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    names = tuple(d["class_names"])
-    cm = ConfusionMatrix(np.asarray(d["confusion_matrix"], dtype=np.int64),
-                         names)
-    per_class = [(float(d["per_class"][n]["precision"]),
-                  float(d["per_class"][n]["recall"])) for n in names]
-    top10 = d.get("importance_top10")
-    return EvaluationReport(
-        cm,
-        accuracy=float(d["accuracy"]),
-        per_class=per_class,
-        macro_precision=float(d["macro_precision"]),
-        macro_recall=float(d["macro_recall"]),
-        degenerate_classes=list(d.get("degenerate_classes", [])),
-        importance_top10=[(n, float(v)) for n, v in top10] if top10 else None,
-        config_echo=dict(d.get("config_echo", {})),
-        seed=int(d["seed"]),
-    )
+    """Parse emit_report's JSON back into a report; MalformedReport names
+    the file of one that is not JSON or lacks or mistypes a key."""
+    d = read_json(path, MalformedReport)
+    try:
+        names = tuple(d["class_names"])
+        cm = ConfusionMatrix(np.asarray(d["confusion_matrix"], dtype=np.int64),
+                             names)
+        per_class = [(float(d["per_class"][n]["precision"]),
+                      float(d["per_class"][n]["recall"])) for n in names]
+        top10 = d.get("importance_top10")
+        return EvaluationReport(
+            cm,
+            accuracy=float(d["accuracy"]),
+            per_class=per_class,
+            macro_precision=float(d["macro_precision"]),
+            macro_recall=float(d["macro_recall"]),
+            degenerate_classes=list(d.get("degenerate_classes", [])),
+            importance_top10=[(n, float(v)) for n, v in top10 or ()] or None,
+            config_echo=dict(d.get("config_echo", {})),
+            seed=int(d["seed"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedReport(f"{path}: not a v1 report: "
+                              f"{type(exc).__name__}: {exc}") from exc

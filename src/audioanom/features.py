@@ -17,9 +17,7 @@ calls BLAS, so no OpenBLAS kernel choice moves the features.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +28,7 @@ from .config import PipelineConfig
 from .dsp import LOG_FLOOR, frame_signal, power_spectrogram
 from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
                      MalformedFeatureFile, NonFiniteFeature, SignalTooShort)
+from .files import read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -237,48 +236,28 @@ def extract_clip_features(segment: AudioBuffer,
 def save_featureset(fs: FeatureSet, path) -> None:
     """Stream fs to path row by row as a CSV with header
     clip_id,label,<features>; full float precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["clip_id", "label", *fs.names])
-        for v in fs.vectors:
-            writer.writerow([v.clip_id, v.label if v.label is not None else "",
-                             *[repr(float(x)) for x in v.values]])
+    write_csv(path, ["clip_id", "label", *fs.names],
+              ([v.clip_id, v.label if v.label is not None else "",
+                *[repr(float(x)) for x in v.values]] for v in fs.vectors))
 
 
 def load_featureset(path) -> FeatureSet:
     """Parse save_featureset's format; MalformedFeatureFile names the path,
     the clip and the column of a fault."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MalformedFeatureFile(f"{path}: not UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        lines = list(reader)
-    except csv.Error as exc:   # such as a field beyond csv's size limit
-        raise MalformedFeatureFile(
-            f"{path}: line {reader.line_num}: {exc}") from None
-    if not lines:
-        raise MalformedFeatureFile(f"{path}: empty file, no header")
-    header = lines[0]
+    header, lines = read_csv(path, MalformedFeatureFile)
     if header[:2] != ["clip_id", "label"]:
         raise MalformedFeatureFile(f"{path}: header must start with "
                                    f"clip_id,label, got {header[:2]}")
     names = tuple(header[2:])
-    rows = []
-    for row in lines[1:]:
-        if not row:
-            continue
-        clip_id = row[0]
+    rows = [row for _, row in lines]
+    for row in rows:
         if len(row) < len(header):
-            raise MalformedFeatureFile(f"{path}: clip {clip_id!r} has no "
+            raise MalformedFeatureFile(f"{path}: clip {row[0]!r} has no "
                                        f"value in column {header[len(row)]!r}")
         if len(row) > len(header):
             raise MalformedFeatureFile(
-                f"{path}: clip {clip_id!r} has {len(row) - 2} values for "
+                f"{path}: clip {row[0]!r} has {len(row) - 2} values for "
                 f"{len(names)} feature columns")
-        rows.append(row)
     try:
         # numpy converts each string with Python's float
         X = np.array([row[2:] for row in rows], dtype=np.float64)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import reprlib
@@ -30,6 +29,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .features import FeatureSet, FeatureVector, require_finite
+from .files import read_json, write_json
 from .parallel import pool_map
 
 MODEL_FORMAT_VERSION = 1
@@ -609,21 +609,12 @@ def model_from_dict(d: dict):
 
 
 def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        # streamed, not json.dumps and one write: bounds peak memory
-        json.dump(model.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(model.to_dict(), path)
 
 
 def load_model(path):
     """The model saved at `path`; MalformedModel names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        # not UTF-8, not JSON, nested too deep, or an integer too long
-        except (ValueError, RecursionError) as exc:
-            raise MalformedModel(f"{path}: not a UTF-8 JSON document: "
-                                 f"{exc}") from exc
+    d = read_json(path, MalformedModel)
     try:
         return model_from_dict(d)
     except MalformedModel as exc:

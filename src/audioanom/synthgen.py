@@ -13,9 +13,7 @@ subset of the corpus regenerates identically.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import os
 
 import numpy as np
@@ -23,6 +21,7 @@ import numpy as np
 from .audio_io import AudioBuffer, write_wav
 from .config import LEAD_SILENCE_S, PipelineConfig
 from .errors import MalformedManifest
+from .files import read_csv, write_csv
 from .parallel import pool_map
 
 
@@ -123,11 +122,9 @@ def write_manifest(rows, path) -> None:
     """Manifest CSV with paths stored relative to the manifest's directory,
     so identically-generated corpora are byte-identical wherever they live."""
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["clip_id", "path", "label"])
-        for clip_id, file_path, label in rows:
-            writer.writerow([clip_id, os.path.relpath(file_path, base), label])
+    write_csv(path, ["clip_id", "path", "label"],
+              ([clip_id, os.path.relpath(file_path, base), label]
+               for clip_id, file_path, label in rows))
 
 
 def load_manifest(path) -> list:
@@ -136,47 +133,32 @@ def load_manifest(path) -> list:
     not clip_id,path,label, or a clip id that is repeated or holds a line
     break, a path separator or NUL, or a path that holds NUL."""
     base = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MalformedManifest(f"{path}: not UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
+    header, lines = read_csv(path, MalformedManifest)
+    if header != ["clip_id", "path", "label"]:
+        raise MalformedManifest(f"{path}: header must be "
+                                f"clip_id,path,label, got {header}")
     rows, seen = [], {}   # clip id -> its line
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise MalformedManifest(f"{path}: empty file, no header")
-        if header != ["clip_id", "path", "label"]:
-            raise MalformedManifest(f"{path}: header must be "
-                                    f"clip_id,path,label, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            at = f"{path}: line {reader.line_num}"
-            if len(row) != 3:
-                raise MalformedManifest(f"{at}: clip {row[0]!r} has "
-                                        f"{len(row)} fields, not "
-                                        "clip_id,path,label")
-            clip_id, file_path, label = row
-            # a line break in an id or label would end a row of the CSVs
-            # the later stages write
-            if any(c in clip_id + label for c in "\r\n"):
-                raise MalformedManifest(f"{at}: clip id {clip_id!r} or label "
-                                        f"{label!r} holds a line break")
-            # preprocess writes <out>/<clip_id>_segNNN.wav: an id must name
-            # one file of its own inside --out
-            if any(c and c in clip_id for c in ("/", os.sep, os.altsep, "\0")):
-                raise MalformedManifest(f"{at}: clip id {clip_id!r} holds a "
-                                        "path separator or NUL")
-            if clip_id in seen:
-                raise MalformedManifest(f"{at}: clip id {clip_id!r} repeats "
-                                        f"line {seen[clip_id]}")
-            if "\0" in file_path:
-                raise MalformedManifest(f"{at}: path {file_path!r} holds NUL")
-            seen[clip_id] = reader.line_num
-            rows.append((clip_id, os.path.join(base, file_path), label))
-    except csv.Error as exc:   # such as a field beyond csv's size limit
-        raise MalformedManifest(
-            f"{path}: line {reader.line_num}: {exc}") from None
+    for line, row in lines:
+        at = f"{path}: line {line}"
+        if len(row) != 3:
+            raise MalformedManifest(f"{at}: clip {row[0]!r} has {len(row)} "
+                                    "fields, not clip_id,path,label")
+        clip_id, file_path, label = row
+        # a line break in an id or label would end a row of the CSVs the
+        # later stages write
+        if any(c in clip_id + label for c in "\r\n"):
+            raise MalformedManifest(f"{at}: clip id {clip_id!r} or label "
+                                    f"{label!r} holds a line break")
+        # preprocess writes <out>/<clip_id>_segNNN.wav: an id must name one
+        # file of its own inside --out
+        if any(c and c in clip_id for c in ("/", os.sep, os.altsep, "\0")):
+            raise MalformedManifest(f"{at}: clip id {clip_id!r} holds a "
+                                    "path separator or NUL")
+        if clip_id in seen:
+            raise MalformedManifest(f"{at}: clip id {clip_id!r} repeats "
+                                    f"line {seen[clip_id]}")
+        if "\0" in file_path:
+            raise MalformedManifest(f"{at}: path {file_path!r} holds NUL")
+        seen[clip_id] = line
+        rows.append((clip_id, os.path.join(base, file_path), label))
     return rows

@@ -574,6 +574,8 @@ BAD_INPUT = {
     "config_null_for_int": ("pipeline", {"seed": None}, [], 2,
                             ["'seed'", "None"]),
     "config_not_utf8": ("pipeline", NOT_UTF8, [], 2, ["{file}"]),
+    "config_not_json": ("pipeline", "{", [], 2,
+                        ["{file}", "not a UTF-8 JSON document"]),
     "features_not_utf8": ("train", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
     "features_long_cell": ("train", f"clip_id,label,a\nc0,normal,{LONG}\n",
                            [], 1, ["{file}", "line 2", "field limit"]),
@@ -615,6 +617,11 @@ BAD_INPUT = {
     "manifest_long_path": ("extract",
                            f"clip_id,path,label\nc0,{LONG}.wav,normal\n", [],
                            1, ["{file}", "line 2", "field limit"]),
+    # the whole file parses before a row is checked, so a CSV-level fault
+    # on line 3 is named before the short row on line 2
+    "manifest_short_row_then_long_path": (
+        "extract", f"clip_id,path,label\nc0,x.wav\nc1,{LONG}.wav,normal\n",
+        [], 1, ["{file}", "line 3", "field limit"]),
     "manifest_cr_in_id": ("extract",
                           b'clip_id,path,label\n"c\r0",x.wav,normal\n', [], 1,
                           ["{file}", "line 3", "'c\\n0'", "line break"]),

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from audioanom.errors import (ClassTooSmall, EmptyMatrix, IoFailure,
-                              LabelOutOfRange, LengthMismatch)
+                              LabelOutOfRange, LengthMismatch, MalformedReport)
 from audioanom.evaluate import (
     ConfusionMatrix,
     confusion_matrix,
@@ -263,6 +263,24 @@ def test_report_four_decimal_formatting(tmp_path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["accuracy"] == "0.9680"
     assert load_report(path).accuracy == pytest.approx(0.968)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "empty_object", "str_accuracy",
+                                   "infinite_seed"])
+def test_malformed_report_names_file(tmp_path, fault):
+    path = tmp_path / "report.json"
+    emit_report(_sample_report(), path)
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    path.write_text({
+        "truncated": text[:len(text) // 2],
+        "empty_object": "{}",
+        "str_accuracy": json.dumps({**doc, "accuracy": "x"}),
+        "infinite_seed": json.dumps({**doc, "seed": float("inf")}),
+    }[fault], encoding="utf-8")
+    with pytest.raises(MalformedReport) as info:
+        load_report(path)
+    assert str(path) in str(info.value)
 
 
 @st.composite
