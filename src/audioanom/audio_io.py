@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import (
     EmptyAudio,
-    IoFailure,
     MalformedContainer,
     UnsupportedEncoding,
 )
+from .files import read_bytes, write_bytes
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
@@ -47,11 +47,7 @@ def read_wav(path) -> AudioBuffer:
     PCM16 samples are scaled by 1/32768; stereo is downmixed by per-sample
     channel mean. Unknown chunks are skipped.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    data = read_bytes(path)
 
     if len(data) < 12:
         raise MalformedContainer(f"{path}: file too small for a RIFF header")
@@ -137,14 +133,8 @@ def write_wav(buffer: AudioBuffer, path) -> AudioBuffer:
         "<IHHIIHH", 16, _FMT_PCM, 1, buffer.sample_rate,
         buffer.sample_rate * 2, 2, 16,
     )
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(fmt)
-            fh.write(b"data" + struct.pack("<I", len(data_bytes)))
-            fh.write(data_bytes)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, header, fmt,
+                b"data" + struct.pack("<I", len(data_bytes)), data_bytes)
     return AudioBuffer(_from_pcm16(ints), buffer.sample_rate)
 
 

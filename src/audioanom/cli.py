@@ -25,7 +25,7 @@ from .dsp import LOG_FLOOR, frame_signal, power_spectrogram
 from .errors import AudioAnomError, ConfigError, SignalTooShort
 from .evaluate import emit_report
 from .features import load_featureset, save_featureset
-from .files import read_json, write_csv
+from .files import read_json, write_bytes, write_csv
 from .models import load_model, save_model
 from .synthgen import generate_corpus, load_manifest
 
@@ -134,9 +134,8 @@ def cmd_pipeline(cfg, args, out) -> str:
 
 def _write_pgm(path, pixels: np.ndarray) -> None:
     h, w = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.astype(np.uint8).tobytes())
+    write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii"),
+                pixels.astype(np.uint8).tobytes())
 
 
 def cmd_render(cfg, args, out) -> str:

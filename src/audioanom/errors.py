@@ -37,7 +37,7 @@ class EmptyAudio(AudioAnomError):
 
 
 class IoFailure(AudioAnomError):
-    """Underlying file read/write failed."""
+    """An OSError while files.py opened, read or wrote a file."""
 
 
 # --- dsp ---

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ClassTooSmall, EmptyMatrix, IoFailure, LabelOutOfRange,
+from .errors import (ClassTooSmall, EmptyMatrix, LabelOutOfRange,
                      LengthMismatch, MalformedReport)
 from .features import FeatureSet
 from .files import read_json, write_json
@@ -184,10 +184,7 @@ def emit_report(report: EvaluationReport, path) -> None:
         ] or None,
         "config_echo": report.config_echo,
     }
-    try:
-        write_json(doc, path)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(doc, path)
 
 
 def load_report(path) -> EvaluationReport:

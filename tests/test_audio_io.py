@@ -89,6 +89,19 @@ def test_unknown_chunks_skipped(tmp_path):
     np.testing.assert_array_equal(read_wav(path).samples, [0.5])
 
 
+def test_odd_sized_chunk_is_followed_by_its_pad_byte(tmp_path):
+    # RIFF chunks are word-aligned: a 3-byte LIST body is followed by one
+    # pad byte, which is not part of the next chunk
+    payload = struct.pack("<2h", 16384, -8192)
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)
+    odd = b"LIST" + struct.pack("<I", 3) + b"abc" + b"\0"
+    data = b"data" + struct.pack("<I", len(payload)) + payload
+    body = b"WAVE" + fmt + odd + data
+    path = tmp_path / "odd.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    np.testing.assert_array_equal(read_wav(path).samples, [0.5, -0.25])
+
+
 def test_write_zero_and_clamp(tmp_path):
     path = tmp_path / "w.wav"
     write_wav(AudioBuffer([0.0, 1.5, -2.0], 16000), path)

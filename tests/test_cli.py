@@ -461,6 +461,8 @@ def test_evaluate_malformed_model_structure_names_file(
 
 NOT_UTF8 = b"clip_id,label\n\xff\xfe\n"
 LONG = "9" * 200_000   # beyond csv's 131,072-character field limit
+MISSING = object()     # the input flag names a file that does not exist
+NO_FILE = "error: cannot read {file}: [Errno 2] No such file or directory"
 
 
 def _model(kind, mutate):
@@ -502,10 +504,10 @@ def _member_1(**changes):
                   lambda doc: doc["members"][1]["model"].update(changes))
 
 
-# case -> (command, its input file's content or None, flags, exit code,
-# fragments the error names; {file} stands for the input file). A pipeline's
-# input is its --config file; a manifest, feature table, model or WAV is
-# the input of extract, train, evaluate or render.
+# case -> (command, its input file's content, None or MISSING, flags, exit
+# code, fragments the error names; {file} stands for the input file). A
+# pipeline's input is its --config file; a manifest, feature table, model
+# or WAV is the input of extract, train, evaluate or render.
 BAD_INPUT = {
     "snr_db_nan": ("pipeline", None, ["--snr-db", "nan"], 2,
                    ["'snr_db'", "nan"]),
@@ -644,6 +646,10 @@ BAD_INPUT = {
                              [], 1, ["{file}", "line 2", "\\x00'",
                                      "holds NUL"]),
     "model_not_utf8": ("evaluate", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
+    "config_missing": ("pipeline", MISSING, [], 1, [NO_FILE]),
+    "features_missing": ("train", MISSING, [], 1, [NO_FILE]),
+    "manifest_missing": ("extract", MISSING, [], 1, [NO_FILE]),
+    "model_missing": ("evaluate", MISSING, [], 1, [NO_FILE]),
     "svm_3_weights": ("evaluate", _model(
         "svm", lambda d: d.update(weights=d["weights"][:3])), [], 1,
         ["{file}", "weights", "30 finite numbers"]),
@@ -731,7 +737,9 @@ def test_bad_input_exit_code_and_message(extracted, small_forest, tmp_path,
     path = tmp_path / "input"
     if callable(content):
         content = content(small_forest.parent)
-    if content is not None:
+    if content is MISSING:
+        argv += [INPUT_FLAG[command], str(path)]
+    elif content is not None:
         if not isinstance(content, (bytes, str)):
             content = json.dumps(content)
         if isinstance(content, str):
@@ -1692,7 +1700,7 @@ def test_one_config_file_serves_every_command(extracted, small_forest,
 
 
 def _read_pgm(path):
-    data = open(path, "rb").read()
+    data = path.read_bytes()
     assert data[:2] == b"P5"
     header, rest = data.split(b"255\n", 1)
     dims = header.split(b"\n")[1].split()

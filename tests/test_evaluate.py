@@ -64,6 +64,13 @@ def test_split_rounding_small_class():
     assert [v.label for v in test.vectors].count("B") == 3
 
 
+def test_split_class_of_two():
+    # two rows is the least a class needs: one for each side
+    train, test = stratified_split(make_set([2, 5]), 0.3, seed=0)
+    assert [v.label for v in test.vectors].count("A") == 1
+    assert [v.label for v in train.vectors].count("A") == 1
+
+
 def test_split_class_too_small():
     data = make_set([1, 5])
     with pytest.raises(ClassTooSmall):
@@ -112,6 +119,7 @@ def test_metrics_perfect():
     report = metrics(cm)
     assert report.accuracy == 1.0
     assert report.per_class == [(1.0, 1.0), (1.0, 1.0)]
+    assert report.degenerate_classes == []   # class 0 has one true row
 
 
 def test_metrics_empty_matrix():
@@ -190,6 +198,26 @@ def test_cv_folds_partition_dataset():
     assert len(result.fold_reports) == 3
     total = sum(r.confusion.total for r in result.fold_reports)
     assert total == 30
+
+
+class HeldOutModel(MajorityClassModel):
+    """Fails if asked to predict a row it was trained on, or if its
+    training rows and the rows it predicts are not the whole set."""
+
+    def __init__(self, train):
+        super().__init__(train)
+        self.train_rows = {tuple(v.values) for v in train.vectors}
+
+    def predict_proba_values(self, X):
+        test_rows = {tuple(x) for x in X}
+        assert not self.train_rows & test_rows
+        assert len(self.train_rows) + len(test_rows) == 21
+        return super().predict_proba_values(X)
+
+
+def test_cv_never_trains_on_its_test_fold():
+    result = cross_validate(make_set([9, 12]), 3, HeldOutModel, seed=4)
+    assert sum(r.confusion.total for r in result.fold_reports) == 21
 
 
 def test_cv_deterministic():

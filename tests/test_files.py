@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import audioanom
-from audioanom.errors import AudioAnomError
-from audioanom.files import read_csv, read_json, write_csv
+from audioanom.errors import AudioAnomError, IoFailure
+from audioanom.files import (read_bytes, read_csv, read_json, write_bytes,
+                             write_csv, write_json)
 
 SRC = pathlib.Path(audioanom.__file__).parent
 
@@ -77,6 +78,50 @@ def test_read_json_raises_the_given_class(tmp_path, content):
     assert str(path) in str(info.value)
 
 
+# helper -> a call of it on a path
+WRITERS = {
+    "write_bytes": lambda path: write_bytes(path, b"P5\n", b"\0"),
+    "write_csv": lambda path: write_csv(path, ["a"], [["1"]]),
+    "write_json": lambda path: write_json({"a": 1}, path),
+}
+READERS = {
+    "read_bytes": read_bytes,
+    "read_csv": lambda path: read_csv(path, Fault),
+    "read_json": lambda path: read_json(path, Fault),
+}
+
+
+@pytest.mark.parametrize("helper", sorted(WRITERS))
+def test_write_under_a_file_is_an_io_failure(tmp_path, helper):
+    (tmp_path / "file.txt").write_text("mine\n")
+    path = tmp_path / "file.txt" / "out"
+    with pytest.raises(IoFailure, match=rf"^cannot write {path}: "
+                       r"\[Errno 20\] Not a directory"):
+        WRITERS[helper](path)
+
+
+@pytest.mark.parametrize("helper", sorted(WRITERS))
+def test_failed_write_after_open_is_an_io_failure(helper):
+    # /dev/full opens, then refuses the bytes when they are flushed
+    with pytest.raises(IoFailure, match=r"^cannot write /dev/full: "
+                       r"\[Errno 28\] No space left on device"):
+        WRITERS[helper]("/dev/full")
+
+
+@pytest.mark.parametrize("helper", sorted(READERS))
+def test_read_of_a_missing_file_is_an_io_failure(tmp_path, helper):
+    path = tmp_path / "missing"
+    with pytest.raises(IoFailure, match=rf"^cannot read {path}: "
+                       r"\[Errno 2\] No such file or directory"):
+        READERS[helper](path)
+
+
+def test_bytes_round_trip(tmp_path):
+    path = tmp_path / "blob"
+    write_bytes(path, b"RIFF", b"", b"\0\xff")
+    assert read_bytes(path) == b"RIFF\0\xff"
+
+
 def _open_calls(node, where=None):
     """The enclosing function's name (None at module level) of each call of
     a name or attribute `open` under node."""
@@ -90,7 +135,7 @@ def _open_calls(node, where=None):
 
 
 def test_only_files_py_reads_and_writes_text_files():
-    imports, opens = set(), set()
+    imports, opens, io_failures = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -103,9 +148,12 @@ def test_only_files_py_reads_and_writes_text_files():
             imports |= {(path.name, name) for name in names
                         if name.split(".")[0] in ("csv", "io", "json")}
         opens |= {(path.name, where) for where in _open_calls(tree)}
+        # a name, attribute, import or class named IoFailure
+        io_failures |= {path.name for node in ast.walk(tree) if "IoFailure" in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "name", None))}
     assert imports == {("files.py", "csv"), ("files.py", "io"),
                        ("files.py", "json")}
-    # audio_io opens the binary WAV container, cli._write_pgm a binary PGM
-    assert {name for name, _ in opens} == {"files.py", "audio_io.py", "cli.py"}
-    assert {where for name, where in opens if name == "cli.py"} == {
-        "_write_pgm"}
+    # one function opens every file, so one rule reports its OS failures
+    assert opens == {("files.py", "_open")}
+    assert io_failures == {"errors.py", "files.py"}

@@ -68,6 +68,16 @@ def test_alpha_zero_is_identity():
     np.testing.assert_allclose(out.samples, x, atol=1e-6)
 
 
+def test_beta_one_is_identity():
+    # the floor beta * M equals M, so every gain is 1 whatever alpha is
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-0.5, 0.5, size=SR)
+    out = spectral_subtract(AudioBuffer(x, SR), LEAD_MS, N_FFT, alpha=2.0,
+                            beta=1.0)
+    assert len(out) == len(x)
+    np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-12)
+
+
 def test_silence_in_silence_out():
     buf = AudioBuffer(np.zeros(SR), SR)
     out = spectral_subtract(buf, LEAD_MS, N_FFT, alpha=2.0, beta=0.01)
@@ -281,6 +291,14 @@ def test_segment_short_input():
 def test_n_segments_counts_what_segment_cuts(n, policy):
     buf = AudioBuffer(np.ones(n), 10)
     assert n_segments(n, 10, policy) == len(segment(buf, 1.0, policy).segments)
+
+
+def test_one_sample_remainder_is_a_zero_padded_segment():
+    x = np.arange(1.0, 12.0)   # 11 samples: one whole segment of 10 and 1
+    assert n_segments(11, 10, PAD_ZERO_LAST) == 2
+    ss = segment(AudioBuffer(x, 10), 1.0, PAD_ZERO_LAST)
+    assert [len(s) for s in ss.segments] == [10, 10]
+    np.testing.assert_array_equal(ss.segments[1].samples, [11.0] + [0.0] * 9)
 
 
 def test_segment_concatenation_recovers_input():

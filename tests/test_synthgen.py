@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,13 +34,14 @@ def test_corpus_byte_identical_regeneration(tmp_path):
     rows1 = generate_corpus(small_spec(), tmp_path / "a")
     rows2 = generate_corpus(small_spec(), tmp_path / "b")
     for (_, p1, _), (_, p2, _) in zip(rows1, rows2):
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_corpus_different_seed_differs(tmp_path):
     rows1 = generate_corpus(small_spec(seed=1), tmp_path / "a")
     rows2 = generate_corpus(small_spec(seed=2), tmp_path / "b")
-    assert open(rows1[0][1], "rb").read() != open(rows2[0][1], "rb").read()
+    assert (Path(rows1[0][1]).read_bytes()
+            != Path(rows2[0][1]).read_bytes())
 
 
 def test_samples_within_bounds(tmp_path):
