@@ -3,8 +3,8 @@
 Every tunable that a stage reads lives here with its default, in the one
 settings type of the program; config files are flat JSON key/value
 documents. Unknown keys are rejected, and each value is checked against its
-field's type and then against the stages' preconditions at load time, so a
-typo or an impossible setting fails before any audio is touched.
+field's type and then against the stages' preconditions when a config is
+made, so a typo or an impossible setting fails before any audio is touched.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ class PipelineConfig:
     clip_s: float = 2.0
     snr_db: float = 20.0          # normal-class SNR; anomalous gets 6 dB less
     jitter_sigma_hz: float = 0.3  # per-sample random-walk step on f0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> "PipelineConfig":
         for key, (kind, optional) in FIELD_TYPES.items():
@@ -155,7 +158,7 @@ class PipelineConfig:
         unknown = sorted(d.keys() - FIELD_TYPES.keys())
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        return cls(**d).validate()
+        return cls(**d)
 
 
 # name -> (int, float or str; whether None is allowed), from the annotations

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import NFftNotPowerOfTwo
+from .errors import ConfigError, NFftNotPowerOfTwo
 
 LOG_FLOOR = 1e-10
 
@@ -26,7 +26,7 @@ class FrameMatrix:
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann taper: w[k] = 0.5 * (1 - cos(2 pi k / n))."""
     if n < 2:
-        raise ValueError(f"window length must be >= 2, got {n}")
+        raise ConfigError(f"window length must be >= 2, got {n}")
     k = np.arange(n)
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
 
@@ -41,7 +41,7 @@ def dft(frame: np.ndarray, n_fft: int) -> np.ndarray:
     _check_n_fft(n_fft)
     frame = np.asarray(frame, dtype=np.float64)
     if len(frame) > n_fft:
-        raise ValueError(f"frame length {len(frame)} exceeds n_fft {n_fft}")
+        raise ConfigError(f"frame length {len(frame)} exceeds n_fft {n_fft}")
     return np.fft.fft(frame, n=n_fft)
 
 
@@ -58,9 +58,9 @@ def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> FrameMatrix:
     frame is discarded. A signal shorter than one frame yields zero frames.
     """
     if frame_len < 2:
-        raise ValueError(f"frame_len must be >= 2, got {frame_len}")
+        raise ConfigError(f"frame_len must be >= 2, got {frame_len}")
     if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
+        raise ConfigError(f"hop must be >= 1, got {hop}")
     x = buffer.samples
     if len(x) < frame_len:
         frames = np.empty((0, frame_len))
@@ -75,6 +75,6 @@ def power_spectrogram(fm: FrameMatrix, n_fft: int) -> np.ndarray:
     _check_n_fft(n_fft)
     frame_len = fm.frames.shape[1]
     if frame_len > n_fft:
-        raise ValueError(f"frame_len {frame_len} exceeds n_fft {n_fft}")
+        raise ConfigError(f"frame_len {frame_len} exceeds n_fft {n_fft}")
     windowed = fm.frames * hann_window(frame_len)[None, :]
     return np.abs(np.fft.rfft(windowed, n=n_fft, axis=1)) ** 2

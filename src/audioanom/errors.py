@@ -10,7 +10,7 @@ class AudioAnomError(Exception):
 
 
 class ConfigError(AudioAnomError):
-    """Invalid parameter or configuration value."""
+    """A refused setting: a bad config value or an out-of-range argument."""
 
 
 # --- synthgen ---

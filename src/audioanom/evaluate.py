@@ -13,8 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ClassTooSmall, EmptyMatrix, LabelOutOfRange,
-                     LengthMismatch, MalformedReport)
+from .errors import (ClassTooSmall, ConfigError, EmptyMatrix,
+                     LabelOutOfRange, LengthMismatch, MalformedReport)
 from .features import FeatureSet
 from .files import read_json, write_json
 from .models import predict_proba
@@ -61,10 +61,10 @@ def _class_shuffles(data: FeatureSet, seed: int, need: int, why: str = ""):
         yield rows[np.random.default_rng([seed, c]).permutation(len(rows))]
 
 
-def stratified_split(data: FeatureSet, test_frac: float, seed: int = 0):
+def stratified_split(data: FeatureSet, test_frac: float, seed: int):
     """Per-class seeded shuffle; round(test_frac * n_c) instances go to test."""
     if not 0.0 < test_frac < 1.0:
-        raise ValueError(f"test_frac must be in (0, 1), got {test_frac}")
+        raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
     train_idx, test_idx = [], []
     for perm in _class_shuffles(data, seed, 2):
         n_test = _round_half_up(test_frac * len(perm))
@@ -133,11 +133,11 @@ class CrossValidationResult:
 
 def cross_validate(data: FeatureSet, k: int,
                    trainer: Callable[[FeatureSet], object],
-                   seed: int = 0) -> CrossValidationResult:
+                   seed: int) -> CrossValidationResult:
     """Stratified k-fold; trainer(train_set) must return a model usable with
     models.predict_proba."""
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise ConfigError(f"k must be >= 2, got {k}")
     folds: list = [[] for _ in range(k)]
     for perm in _class_shuffles(data, seed, k, f" for {k}-fold CV"):
         for i, idx in enumerate(perm):

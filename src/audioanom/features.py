@@ -10,7 +10,7 @@ defined on the emphasized spectrum and the centroid on the plain one, so two
 spectra are inherent. ZCR reads the plain, unwindowed frames.
 
 The settings (frame_len, hop, n_fft, n_mels, n_coeffs, fmin, fmax,
-pre_emphasis) come from a PipelineConfig, whose validate() checks them once;
+pre_emphasis) come from a PipelineConfig, which checks them when it is made;
 the mel bank is laid out once per (config, sample rate) and shared. No step
 calls BLAS, so no OpenBLAS kernel choice moves the features.
 """
@@ -26,8 +26,9 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .config import PipelineConfig
 from .dsp import LOG_FLOOR, frame_signal, power_spectrogram
-from .errors import (DegenerateFilter, FrameTooShort, LabelOutOfRange,
-                     MalformedFeatureFile, NonFiniteFeature, SignalTooShort)
+from .errors import (ConfigError, DegenerateFilter, FrameTooShort,
+                     LabelOutOfRange, MalformedFeatureFile, NonFiniteFeature,
+                     SignalTooShort)
 from .files import read_csv, write_csv
 
 
@@ -197,7 +198,7 @@ def spectral_centroid(power_bins: np.ndarray, sample_rate: int,
     power_bins = np.asarray(power_bins, dtype=np.float64)
     n_bins = power_bins.shape[-1] if power_bins.ndim else 0
     if n_bins != n_fft // 2 + 1:
-        raise ValueError(f"expected {n_fft // 2 + 1} bins, got {n_bins}")
+        raise ConfigError(f"expected {n_fft // 2 + 1} bins, got {n_bins}")
     total = power_bins.sum(axis=-1)
     freqs = np.arange(n_bins) * sample_rate / n_fft
     return np.divide((freqs * power_bins).sum(axis=-1), total,

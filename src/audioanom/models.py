@@ -313,7 +313,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, n_classes: int, max_depth,
 def train_forest(data: FeatureSet, n_trees: int,
                  mtry: Optional[int] = None,
                  max_depth: Optional[int] = None, min_samples_leaf: int = 1,
-                 seed: int = 0) -> RandomForest:
+                 *, seed: int) -> RandomForest:
     """Bagged CART forest, one _grow_tree task per tree on pool_map's pool,
     importances summed in tree order: the same forest at any pool width."""
     X, y = _training_arrays(data)
@@ -388,7 +388,7 @@ def svm_objective(model: LinearSvm, X: np.ndarray, y_pm: np.ndarray) -> float:
 
 
 def train_svm(data: FeatureSet, lam: float, epochs: int,
-              seed: int = 0) -> LinearSvm:
+              seed: int) -> LinearSvm:
     """Stochastic subgradient descent on the hinge objective, step 1/(lam t).
 
     Binary only; labels map to -1/+1 by class order. Features are

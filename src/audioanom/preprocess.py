@@ -15,7 +15,7 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .config import PAD_POLICIES
 from .dsp import hann_window
-from .errors import LengthMismatch, TooShortForProfile
+from .errors import ConfigError, LengthMismatch, TooShortForProfile
 
 DEFAULT_MU = 0.5
 DEFAULT_TAPS = 32
@@ -54,9 +54,9 @@ def spectral_subtract(buffer: AudioBuffer, lead_ms: float, n_fft: int,
         raise TooShortForProfile(
             f"need at least {n_fft} samples of leading noise, got {lead}")
     if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+        raise ConfigError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
+        raise ConfigError(f"beta must be in [0, 1], got {beta}")
     hop = n_fft // 2
     padded = np.concatenate([np.zeros(hop), buffer.samples, np.zeros(n_fft)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
@@ -94,9 +94,9 @@ def nlms_cancel(
     if primary.sample_rate != reference.sample_rate:
         raise LengthMismatch("primary and reference sample rates differ")
     if not 0.0 < mu < 2.0:
-        raise ValueError(f"mu must be in (0, 2), got {mu}")
+        raise ConfigError(f"mu must be in (0, 2), got {mu}")
     if taps < 1:
-        raise ValueError(f"taps must be >= 1, got {taps}")
+        raise ConfigError(f"taps must be >= 1, got {taps}")
 
     d = primary.samples
     r = reference.samples
@@ -117,7 +117,7 @@ def nlms_cancel(
 def normalize(buffer: AudioBuffer, mode: str, target: float) -> AudioBuffer:
     """Scale to a target peak or RMS level; silence passes through as is."""
     if target <= 0:
-        raise ValueError(f"target must be positive, got {target}")
+        raise ConfigError(f"target must be positive, got {target}")
     x = buffer.samples
     if mode == "peak":
         peak = np.max(np.abs(x)) if len(x) else 0.0
@@ -130,7 +130,7 @@ def normalize(buffer: AudioBuffer, mode: str, target: float) -> AudioBuffer:
             return buffer
         return AudioBuffer(np.clip(x * (target / rms), -1.0, 1.0),
                            buffer.sample_rate)
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    raise ConfigError(f"unknown normalization mode {mode!r}")
 
 
 def n_segments(n_samples: int, seg_len: int, pad_policy: str) -> int:
@@ -146,10 +146,10 @@ def segment(buffer: AudioBuffer, seg_len_s: float,
     """Cut into consecutive non-overlapping fixed-length segments."""
     seg_len = int(round(seg_len_s * buffer.sample_rate))
     if seg_len < 1:
-        raise ValueError(f"seg_len_s must be at least one sample, got "
+        raise ConfigError(f"seg_len_s must be at least one sample, got "
                          f"{seg_len_s} at {buffer.sample_rate} Hz")
     if pad_policy not in PAD_POLICIES:
-        raise ValueError(f"unknown pad policy {pad_policy!r}")
+        raise ConfigError(f"unknown pad policy {pad_policy!r}")
     x = buffer.samples
     full = len(x) // seg_len
     segs = [AudioBuffer(x[i * seg_len:(i + 1) * seg_len], buffer.sample_rate)

@@ -1374,7 +1374,7 @@ pipeline._run_clip, models._grow_tree = probe_clip, probe_tree
 with tempfile.TemporaryDirectory() as tmp:
     rows, _, features = pipeline._front_end(
         PipelineConfig(n_per_class=2), tmp + "/corpus", tmp + "/segments")
-forest = models.train_forest(features, n_trees=4)
+forest = models.train_forest(features, n_trees=4, seed=0)
 print(json.dumps({"clips": [row[-1] for row in rows],
                   "trees": [tree["threads"] for tree in forest.trees]}))
 """

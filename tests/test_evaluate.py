@@ -74,7 +74,7 @@ def test_split_class_of_two():
 def test_split_class_too_small():
     data = make_set([1, 5])
     with pytest.raises(ClassTooSmall):
-        stratified_split(data, 0.3)
+        stratified_split(data, 0.3, seed=0)
 
 
 # --- confusion_matrix ---
@@ -238,7 +238,7 @@ def test_cv_majority_baseline_on_imbalanced_set():
 def test_cv_class_too_small():
     data = make_set([2, 10])
     with pytest.raises(ClassTooSmall):
-        cross_validate(data, 3, MajorityClassModel)
+        cross_validate(data, 3, MajorityClassModel, seed=0)
 
 
 # --- reports ---

@@ -9,7 +9,7 @@ from audioanom import features
 from audioanom.audio_io import AudioBuffer, read_wav
 from audioanom.config import PipelineConfig
 from audioanom.dsp import frame_signal, hann_window
-from audioanom.errors import (DegenerateFilter, FrameTooShort,
+from audioanom.errors import (ConfigError, DegenerateFilter, FrameTooShort,
                               MalformedFeatureFile, NonFiniteFeature,
                               SignalTooShort)
 from audioanom.features import (
@@ -110,13 +110,22 @@ def test_filterbank_centers_match_independent_recomputation():
 
 def test_filterbank_degenerate_config_rejected():
     with pytest.raises(DegenerateFilter):
-        mel_filterbank(PipelineConfig(n_mels=26, n_coeffs=13, n_fft=64), SR)
+        mel_filterbank(PipelineConfig(n_mels=26, n_coeffs=13, n_fft=64,
+                                      frame_len=64), SR)
     # one filter between two FFT bins, or in a band so narrow that its
     # weights come out 0/0, weighs no bin
     for fmin, fmax in ((10.0, 20.0), (0.0, 1e-300)):
         with pytest.raises(DegenerateFilter, match="onto none"):
             mel_filterbank(PipelineConfig(n_mels=1, n_coeffs=1, fmin=fmin,
                                           fmax=fmax), SR)
+
+
+def test_filterbank_last_two_centers_in_one_bin_rejected():
+    # both centers (1009.8 and 1029.8 Hz) fall in bin 32, yet each filter
+    # weighs a bin: only the shared-center check sees the last pair
+    cfg = PipelineConfig(n_mels=2, n_coeffs=1, fmin=990.0, fmax=1050.0)
+    with pytest.raises(DegenerateFilter, match="shared FFT bins"):
+        mel_filterbank(cfg, SR)
 
 
 @pytest.fixture
@@ -328,7 +337,7 @@ def test_centroid_matrix_equals_rows():
 
 
 def test_centroid_wrong_bin_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         spectral_centroid(np.ones((4, 256)), SR, 512)
 
 

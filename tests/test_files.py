@@ -1,4 +1,5 @@
 import ast
+import builtins
 import itertools
 import pathlib
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import audioanom
+from audioanom import errors
 from audioanom.errors import AudioAnomError, IoFailure
 from audioanom.files import (read_bytes, read_csv, read_json, write_bytes,
                              write_csv, write_json)
@@ -157,3 +159,22 @@ def test_only_files_py_reads_and_writes_text_files():
     # one function opens every file, so one rule reports its OS failures
     assert opens == {("files.py", "_open")}
     assert io_failures == {"errors.py", "files.py"}
+
+
+def test_every_raise_names_an_audioanom_or_os_error():
+    # main maps an AudioAnomError to exit 2 or 1 and an OSError to exit 1;
+    # any other class would reach the user as a traceback
+    strays = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue   # a bare raise re-raises what was caught
+            raised = getattr(node.exc, "func", node.exc)
+            name = getattr(raised, "id", getattr(raised, "attr", ""))
+            cls = getattr(errors, name, getattr(builtins, name, None))
+            # files.py raises the error class its caller passes
+            if (path.name, name) != ("files.py", "error") and not (
+                    isinstance(cls, type)
+                    and issubclass(cls, (AudioAnomError, OSError))):
+                strays.add(f"{path.name}:{node.lineno} raises {name}")
+    assert not strays, sorted(strays)

@@ -152,7 +152,7 @@ def test_split_threshold_lies_below_upper_value(lo, hi):
     # a threshold at hi sent both rows left, and the node split them again
     data = make_set([[lo], [hi]], ["A", "B"])
     assert lo <= train_tree(data).trees[0]["nodes"][0]["threshold"] < hi
-    forest = train_forest(data, n_trees=100)
+    forest = train_forest(data, n_trees=100, seed=0)
     predicted = np.argmax(forest.predict_proba_values(data.matrix()), axis=1)
     np.testing.assert_array_equal(predicted, data.labels())
 
@@ -214,7 +214,7 @@ def test_forest_mtry_beyond_features_is_a_config_error():
     # the bound needs the data, so PipelineConfig.validate cannot check it
     data = make_set(np.arange(8.0).reshape(4, 2), ["A", "B", "A", "B"])
     with pytest.raises(ConfigError, match=r"mtry must be in \[1, 2\], got 3"):
-        train_forest(data, n_trees=1, mtry=3)
+        train_forest(data, n_trees=1, mtry=3, seed=0)
 
 
 def test_forest_importance_finds_informative_feature():
@@ -323,7 +323,7 @@ def test_svm_separable_two_points():
 
 def test_svm_zero_epochs():
     data = make_set([[-1.0], [1.0]], ["A", "B"])
-    svm = train_svm(data, lam=1e-3, epochs=0)
+    svm = train_svm(data, lam=1e-3, epochs=0, seed=0)
     np.testing.assert_array_equal(svm.weights, 0.0)
     assert svm.bias == 0.0
     x = FeatureVector(("f0",), np.array([0.3]), "c")
@@ -334,9 +334,9 @@ def test_svm_zero_epochs():
 def test_svm_standardization_invariant_under_duplication():
     X = [[-1.0, 2.0], [1.0, 0.0], [0.5, -1.0], [-0.5, 1.5]]
     labels = ["A", "B", "B", "A"]
-    svm1 = train_svm(make_set(X, labels), lam=1e-3, epochs=1)
+    svm1 = train_svm(make_set(X, labels), lam=1e-3, epochs=1, seed=0)
     svm2 = train_svm(make_set(X + X, labels + labels), lam=1e-3,
-                     epochs=1)
+                     epochs=1, seed=0)
     np.testing.assert_allclose(svm1.mean, svm2.mean)
     np.testing.assert_allclose(svm1.std, svm2.std)
 
@@ -345,12 +345,12 @@ def test_svm_rejects_multiclass():
     data = make_set([[0.0], [1.0], [2.0]], ["A", "B", "C"],
                     class_names=("A", "B", "C"))
     with pytest.raises(NotBinary):
-        train_svm(data, lam=1e-3, epochs=50)
+        train_svm(data, lam=1e-3, epochs=50, seed=0)
 
 
 def test_svm_zero_variance_feature_gets_unit_std():
     data = make_set([[1.0, 5.0], [2.0, 5.0]], ["A", "B"])
-    svm = train_svm(data, lam=1e-3, epochs=1)
+    svm = train_svm(data, lam=1e-3, epochs=1, seed=0)
     assert svm.std[1] == 1.0
 
 
@@ -359,13 +359,13 @@ def test_svm_on_a_one_class_subset_names_the_empty_class():
     data = make_set([[0.0], [1.0], [2.0]], ["A", "B", "A"]).subset([0, 2])
     assert data.class_names == ("A", "B")
     with pytest.raises(EmptyClass, match="class 'B' has no instances"):
-        train_svm(data, lam=1e-3, epochs=1)
+        train_svm(data, lam=1e-3, epochs=1, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("train", [
-    functools.partial(train_forest, n_trees=2, mtry=1), train_tree,
-    functools.partial(train_svm, lam=1e-3, epochs=1)],
+    functools.partial(train_forest, n_trees=2, mtry=1, seed=0), train_tree,
+    functools.partial(train_svm, lam=1e-3, epochs=1, seed=0)],
     ids=["forest", "tree", "svm"])
 def test_trainers_refuse_non_finite_features(train, bad):
     data = make_set([[0.0, 1.0], [1.0, bad], [2.0, 0.0]], ["A", "B", "A"])
