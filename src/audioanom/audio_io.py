@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_settings
 from .errors import (
-    ConfigError,
     EmptyAudio,
     MalformedContainer,
     UnsupportedEncoding,
@@ -35,8 +35,7 @@ class AudioBuffer:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_settings(sample_rate=self.sample_rate)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -141,8 +140,7 @@ def write_wav(buffer: AudioBuffer, path) -> AudioBuffer:
 
 def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Resample by linear interpolation between neighboring input samples."""
-    if target_rate <= 0:
-        raise ConfigError(f"target_rate must be positive, got {target_rate}")
+    check_settings(sample_rate=target_rate)
     if target_rate == buffer.sample_rate:
         return buffer
     n_in = len(buffer)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import ConfigError, NFftNotPowerOfTwo
+from .config import check_settings
+from .errors import ConfigError
 
 LOG_FLOOR = 1e-10
 
@@ -31,14 +32,9 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
 
 
-def _check_n_fft(n_fft: int) -> None:
-    if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
-        raise NFftNotPowerOfTwo(f"n_fft must be a power of two >= 2, got {n_fft}")
-
-
 def dft(frame: np.ndarray, n_fft: int) -> np.ndarray:
     """Full complex spectrum of a real frame, zero-padded to n_fft."""
-    _check_n_fft(n_fft)
+    check_settings(n_fft=n_fft)
     frame = np.asarray(frame, dtype=np.float64)
     if len(frame) > n_fft:
         raise ConfigError(f"frame length {len(frame)} exceeds n_fft {n_fft}")
@@ -47,7 +43,7 @@ def dft(frame: np.ndarray, n_fft: int) -> np.ndarray:
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
     """Inverse of dft; imaginary residue from real input is discarded."""
-    _check_n_fft(len(spectrum))
+    check_settings(n_fft=len(spectrum))
     return np.fft.ifft(spectrum).real
 
 
@@ -57,10 +53,7 @@ def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> FrameMatrix:
     Frame i covers samples [i*hop, i*hop + frame_len); the trailing partial
     frame is discarded. A signal shorter than one frame yields zero frames.
     """
-    if frame_len < 2:
-        raise ConfigError(f"frame_len must be >= 2, got {frame_len}")
-    if hop < 1:
-        raise ConfigError(f"hop must be >= 1, got {hop}")
+    check_settings(frame_len=frame_len, hop=hop)
     x = buffer.samples
     if len(x) < frame_len:
         frames = np.empty((0, frame_len))
@@ -72,7 +65,7 @@ def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> FrameMatrix:
 def power_spectrogram(fm: FrameMatrix, n_fft: int) -> np.ndarray:
     """One-sided power spectra |rfft|^2 of the Hann-windowed frames over
     bins 0 .. n_fft/2: shape (num_frames, n_fft // 2 + 1)."""
-    _check_n_fft(n_fft)
+    check_settings(n_fft=n_fft)
     frame_len = fm.frames.shape[1]
     if frame_len > n_fft:
         raise ConfigError(f"frame_len {frame_len} exceeds n_fft {n_fft}")

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import check_settings
 from .errors import (ClassTooSmall, ConfigError, EmptyMatrix,
                      LabelOutOfRange, LengthMismatch, MalformedReport)
 from .features import FeatureSet
@@ -39,10 +40,10 @@ class EvaluationReport:
     per_class: list               # (precision, recall) per class
     macro_precision: float
     macro_recall: float
+    seed: int
     degenerate_classes: list = field(default_factory=list)
     importance_top10: Optional[list] = None
     config_echo: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 def _round_half_up(x: float) -> int:
@@ -63,8 +64,7 @@ def _class_shuffles(data: FeatureSet, seed: int, need: int, why: str = ""):
 
 def stratified_split(data: FeatureSet, test_frac: float, seed: int):
     """Per-class seeded shuffle; round(test_frac * n_c) instances go to test."""
-    if not 0.0 < test_frac < 1.0:
-        raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
+    check_settings(test_frac=test_frac)
     train_idx, test_idx = [], []
     for perm in _class_shuffles(data, seed, 2):
         n_test = _round_half_up(test_frac * len(perm))
@@ -90,7 +90,8 @@ def confusion_matrix(y_true, y_pred, n_classes: int,
 
 
 def metrics(cm: ConfusionMatrix, importance_top10: Optional[list] = None,
-            config_echo: Optional[dict] = None, seed: int = 0) -> EvaluationReport:
+            config_echo: Optional[dict] = None, *,
+            seed: int) -> EvaluationReport:
     """Accuracy plus per-class and macro precision/recall from a matrix."""
     counts = cm.counts
     total = counts.sum()

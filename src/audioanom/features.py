@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .config import PipelineConfig
+from .config import PipelineConfig, check_settings
 from .dsp import LOG_FLOOR, frame_signal, power_spectrogram
 from .errors import (ConfigError, DegenerateFilter, FrameTooShort,
                      LabelOutOfRange, MalformedFeatureFile, NonFiniteFeature,
@@ -87,6 +87,7 @@ def require_finite(X: np.ndarray, vectors) -> None:
 
 def pre_emphasis(buffer: AudioBuffer, coeff: float) -> AudioBuffer:
     """First-order high-pass: y[n] = x[n] - coeff * x[n-1], y[0] = x[0]."""
+    check_settings(pre_emphasis=coeff)
     x = buffer.samples
     if len(x) == 0 or coeff == 0.0:
         return buffer
@@ -250,6 +251,8 @@ def load_featureset(path) -> FeatureSet:
         raise MalformedFeatureFile(f"{path}: header must start with "
                                    f"clip_id,label, got {header[:2]}")
     names = tuple(header[2:])
+    if not names:
+        raise MalformedFeatureFile(f"{path}: header names no feature column")
     rows = [row for _, row in lines]
     for row in rows:
         if len(row) < len(header):

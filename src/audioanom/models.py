@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import check_settings
 from .errors import (
     ConfigError,
     EmptyClass,
@@ -293,10 +294,12 @@ def train_tree(data: FeatureSet, max_depth: Optional[int] = None,
 
 
 def _check_mtry(mtry: Optional[int], n_features: int) -> int:
-    """mtry, round(sqrt(n_features)) if None; ConfigError unless in range."""
+    """mtry, round(sqrt(n_features)) if None; ConfigError unless it is a
+    value the setting takes and at most n_features."""
+    check_settings(mtry=mtry)
     mtry = max(1, round(math.sqrt(n_features))) if mtry is None else mtry
-    if not 1 <= mtry <= n_features:
-        raise ConfigError(f"mtry must be in [1, {n_features}], got {mtry}")
+    if mtry > n_features:
+        raise ConfigError(f"mtry {mtry} exceeds the feature count, {n_features}")
     return mtry
 
 
@@ -316,11 +319,10 @@ def train_forest(data: FeatureSet, n_trees: int,
                  *, seed: int) -> RandomForest:
     """Bagged CART forest, one _grow_tree task per tree on pool_map's pool,
     importances summed in tree order: the same forest at any pool width."""
+    check_settings(n_trees=n_trees)
     X, y = _training_arrays(data)
     n_features = X.shape[1]
     mtry = _check_mtry(mtry, n_features)
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
 
     grown = pool_map(functools.partial(
         _grow_tree, X, y, len(data.class_names), max_depth,

@@ -8,12 +8,13 @@ preprocessing, and NLMS is ill-posed without one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .config import PAD_POLICIES
+from .config import PAD_POLICIES, check_settings
 from .dsp import hann_window
 from .errors import ConfigError, LengthMismatch, TooShortForProfile
 
@@ -49,14 +50,12 @@ def spectral_subtract(buffer: AudioBuffer, lead_ms: float, n_fft: int,
     frames, then all second half frames one hop later, into zeros: per
     sample the same 0 + a + b as adding frame by frame.
     """
-    lead = min(int(round(lead_ms / 1000.0 * buffer.sample_rate)), len(buffer))
+    check_settings(lead_ms=lead_ms, n_fft=n_fft, alpha=alpha, beta=beta)
+    # cut at the clip's end before rounding, as a long lead overflows
+    lead = int(round(min(lead_ms / 1000.0 * buffer.sample_rate, len(buffer))))
     if lead < n_fft:
         raise TooShortForProfile(
             f"need at least {n_fft} samples of leading noise, got {lead}")
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must be in [0, 1], got {beta}")
     hop = n_fft // 2
     padded = np.concatenate([np.zeros(hop), buffer.samples, np.zeros(n_fft)])
     frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
@@ -116,21 +115,18 @@ def nlms_cancel(
 
 def normalize(buffer: AudioBuffer, mode: str, target: float) -> AudioBuffer:
     """Scale to a target peak or RMS level; silence passes through as is."""
-    if target <= 0:
-        raise ConfigError(f"target must be positive, got {target}")
+    check_settings(normalize_mode=mode, normalize_target=target)
     x = buffer.samples
     if mode == "peak":
         peak = np.max(np.abs(x)) if len(x) else 0.0
         if peak == 0.0:
             return buffer
         return AudioBuffer(x * (target / peak), buffer.sample_rate)
-    if mode == "rms":
-        rms = float(np.sqrt(np.mean(x ** 2))) if len(x) else 0.0
-        if rms == 0.0:
-            return buffer
-        return AudioBuffer(np.clip(x * (target / rms), -1.0, 1.0),
-                           buffer.sample_rate)
-    raise ConfigError(f"unknown normalization mode {mode!r}")
+    rms = float(np.sqrt(np.mean(x ** 2))) if len(x) else 0.0
+    if rms == 0.0:
+        return buffer
+    return AudioBuffer(np.clip(x * (target / rms), -1.0, 1.0),
+                       buffer.sample_rate)
 
 
 def n_segments(n_samples: int, seg_len: int, pad_policy: str) -> int:
@@ -144,12 +140,12 @@ def n_segments(n_samples: int, seg_len: int, pad_policy: str) -> int:
 def segment(buffer: AudioBuffer, seg_len_s: float,
             pad_policy: str) -> SegmentSet:
     """Cut into consecutive non-overlapping fixed-length segments."""
-    seg_len = int(round(seg_len_s * buffer.sample_rate))
-    if seg_len < 1:
-        raise ConfigError(f"seg_len_s must be at least one sample, got "
-                         f"{seg_len_s} at {buffer.sample_rate} Hz")
-    if pad_policy not in PAD_POLICIES:
-        raise ConfigError(f"unknown pad policy {pad_policy!r}")
+    check_settings(seg_len_s=seg_len_s, pad_policy=pad_policy)
+    span = seg_len_s * buffer.sample_rate
+    if not 0.5 < span < math.inf:   # rounds to a whole number >= 1
+        raise ConfigError(f"seg_len_s {seg_len_s} at {buffer.sample_rate} Hz "
+                          f"spans {span:g} samples, not a finite count >= 1")
+    seg_len = int(round(span))
     x = buffer.samples
     full = len(x) // seg_len
     segs = [AudioBuffer(x[i * seg_len:(i + 1) * seg_len], buffer.sample_rate)

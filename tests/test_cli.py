@@ -510,16 +510,16 @@ def _member_1(**changes):
 # or WAV is the input of extract, train, evaluate or render.
 BAD_INPUT = {
     "snr_db_nan": ("pipeline", None, ["--snr-db", "nan"], 2,
-                   ["'snr_db'", "nan"]),
+                   ["snr_db must be within", "got nan"]),
     "fmax_above_nyquist": ("pipeline", None, ["--fmax", "9000"], 2,
                            ["fmax", "9000", "Nyquist"]),
     "degenerate_mel_bank": ("pipeline", None, ["--n-mels", "200"], 2,
                             ["n_mels=200"]),
     "mtry_above_features": ("train", None, ["--mtry", "31"], 2,
-                            ["mtry", "[1, 30]", "31"]),
+                            ["mtry 31 exceeds the feature count, 30"]),
     "mtry_above_features_pipeline": ("pipeline", None, [
         "--n-per-class", "3", "--mtry", "31"], 2,
-        ["mtry must be in [1, 30], got 31"]),
+        ["mtry 31 exceeds the feature count, 30"]),
     "clip_s_overflows_samples": ("pipeline", None, ["--clip-s", "1e308"], 2,
                                  ["clip_s", "finite number of samples"]),
     "seg_len_s_overflows_samples": ("pipeline", None, [
@@ -566,19 +566,24 @@ BAD_INPUT = {
                                                "--svm-weight", "1e308"], 2,
                             ["ensemble weights", "finite sum"]),
     "config_str_for_int": ("pipeline", {"n_trees": "x"}, [], 2,
-                           ["'n_trees'", "'x'", "a finite integer"]),
+                           ["n_trees must be an integer >= 1, got 'x'"]),
     "config_float_for_int": ("pipeline", {"n_per_class": 2.5}, [], 2,
-                             ["'n_per_class'", "2.5"]),
+                             ["n_per_class must be an integer", "got 2.5"]),
     "config_float_for_optional_int": ("pipeline", {"max_depth": 2.5}, [], 2,
-                                      ["'max_depth'", "a finite integer or null"]),
+                                      ["max_depth must be an integer >= 1 "
+                                       "or null, got 2.5"]),
     "config_bool_for_float": ("pipeline", {"normalize_target": True}, [], 2,
-                              ["'normalize_target'", "True"]),
+                              ["normalize_target must be", "got True"]),
     "config_null_for_int": ("pipeline", {"seed": None}, [], 2,
-                            ["'seed'", "None"]),
+                            ["seed must be an integer >= 0, got None"]),
     "config_not_utf8": ("pipeline", NOT_UTF8, [], 2, ["{file}"]),
     "config_not_json": ("pipeline", "{", [], 2,
                         ["{file}", "not a UTF-8 JSON document"]),
     "features_not_utf8": ("train", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
+    # once refused as mtry 1 beyond 0 features, with exit 2
+    "features_no_columns": ("train", "clip_id,label\na0,normal\n"
+                            "b0,anomalous\n", [], 1,
+                            ["{file}", "header names no feature column"]),
     "features_long_cell": ("train", f"clip_id,label,a\nc0,normal,{LONG}\n",
                            [], 1, ["{file}", "line 2", "field limit"]),
     "manifest_not_utf8": ("extract", NOT_UTF8, [], 1, ["{file}", "UTF-8"]),
@@ -1695,7 +1700,7 @@ def test_one_config_file_serves_every_command(extracted, small_forest,
     config.write_text(json.dumps({**full, "n_trees": 0}))
     bad = tmp_path / "bad.json"
     assert main(evaluate + [str(bad)]) == 2
-    assert "n_trees must be >= 1" in capsys.readouterr().err
+    assert "n_trees must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not bad.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import audioanom
 from audioanom import errors
+from audioanom.config import FIELD_TYPES
 from audioanom.errors import AudioAnomError, IoFailure
 from audioanom.files import (read_bytes, read_csv, read_json, write_bytes,
                              write_csv, write_json)
@@ -178,3 +179,19 @@ def test_every_raise_names_an_audioanom_or_os_error():
                     and issubclass(cls, (AudioAnomError, OSError))):
                 strays.add(f"{path.name}:{node.lineno} raises {name}")
     assert not strays, sorted(strays)
+
+
+def test_only_config_states_a_settings_rule():
+    # a message that starts "<setting> must" states that setting's rule,
+    # which config.py alone holds; a stage applies it with check_settings
+    starts = tuple(f"{name} must" for name in FIELD_TYPES)
+    restated = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # an f-string's literal parts are Constant nodes too
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith(starts)):
+                restated.add(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not restated, sorted(restated)

@@ -213,7 +213,8 @@ def test_forest_reduces_to_single_tree():
 def test_forest_mtry_beyond_features_is_a_config_error():
     # the bound needs the data, so PipelineConfig.validate cannot check it
     data = make_set(np.arange(8.0).reshape(4, 2), ["A", "B", "A", "B"])
-    with pytest.raises(ConfigError, match=r"mtry must be in \[1, 2\], got 3"):
+    with pytest.raises(ConfigError,
+                       match=r"^mtry 3 exceeds the feature count, 2$"):
         train_forest(data, n_trees=1, mtry=3, seed=0)
 
 

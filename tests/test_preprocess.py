@@ -143,6 +143,15 @@ def test_spectral_subtract_matches_loop_reference(n):
             assert _close_to(out.samples, expected, x)
 
 
+def test_spectral_subtract_lead_beyond_float_range_stops_at_clip_end():
+    # lead_ms 1e308 spans more samples than a float holds
+    x = np.random.default_rng(7).normal(0, 0.3, size=2000)
+    buf = AudioBuffer(x, SR)
+    whole = spectral_subtract(buf, 1000.0 * len(x) / SR, N_FFT, 2.0, 0.01)
+    np.testing.assert_array_equal(
+        spectral_subtract(buf, 1e308, N_FFT, 2.0, 0.01).samples, whole.samples)
+
+
 def test_spectral_subtract_uses_profile_n_fft():
     # n_fft = 256 makes 256-point frames, not the default 512
     rng = np.random.default_rng(256)
@@ -158,7 +167,7 @@ def test_spectral_subtract_uses_profile_n_fft():
 
 @settings(max_examples=60, deadline=None)
 @given(log2_n_fft=st.integers(3, 9), n=st.integers(1, 3000),
-       lead=st.integers(0, 4000), alpha=st.floats(0.0, 4.0),
+       lead=st.integers(1, 4000), alpha=st.floats(0.0, 4.0),
        beta=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_spectral_subtract_matches_loop_reference_on_random_inputs(
         log2_n_fft, n, lead, alpha, beta, seed):
